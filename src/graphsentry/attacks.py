@@ -6,12 +6,15 @@ pass where adjacency entries vary continuously in [0,1]. The relaxation
 symmetrizes smoothly (S = A + A^T - A*A^T) and normalizes by fractional
 degrees, so at binary adjacency it coincides exactly with the discrete
 forward. Since these victims read S, an edge whose reverse is present is
-invisible to them and is not offered. The black-box attack distills a surrogate from victim-predicted
-labels and reuses the same loop, judging success by querying the victim.
+invisible to them and is not offered, and (s,t) and (t,s) of a pair missing
+both ways score the same, so each such pair is integrated once. The black-box
+attack distills a surrogate from victim-predicted labels and reuses the same
+loop, judging success by querying the victim.
 
 Gradients with respect to adjacency are computed by a hand-derived, batched
-reverse pass over the relaxed forward (one batch row per candidate edge per
-integration step); the training tape stays out of the attack hot path.
+reverse pass over the relaxed forward, one batch row per unordered candidate
+pair per integration step (per directed candidate edge for a victim that does
+not symmetrize); the training tape stays out of the attack hot path.
 """
 from __future__ import annotations
 
@@ -139,12 +142,12 @@ def _margin_grad_gnn(gnn_weights: list[np.ndarray], head, x: np.ndarray,
     for l in reversed(range(len(gnn_weights))):
         dq = dh * (qs[l] > 0)
         dm = dq @ gnn_weights[l].T
-        dp += np.einsum("bik,bjk->bij", dm, hs[l])
+        dp += dm @ hs[l].transpose(0, 2, 1)
         dh = dm + np.transpose(p, (0, 2, 1)) @ dm
 
     ds = dp * r[:, :, None] * r[:, None, :]
-    dr = (np.einsum("bij,bij,bj->bi", dp, s, r)
-          + np.einsum("bji,bji,bj->bi", dp, s, r))
+    dps = dp * s  # dr_v = sum_j dP_vj S_vj r_j + sum_j dP_jv S_jv r_j
+    dr = (dps @ r[:, :, None])[:, :, 0] + (r[:, None, :] @ dps)[:, 0, :]
     ddeg = np.where(live, dr * (-0.5) * r**3, 0.0)
     ds = ds + ddeg[:, :, None]  # deg_v is the row sum of S, so spread over the row
 
@@ -282,35 +285,51 @@ def edge_saliency_ig(victim, graph: FeatureGraph,
     IG(e) = (1/m) sum_{k=1..m} d f(A + (k/m) 1_e) / dA_e, where f is the
     benign-minus-malicious margin. Higher scores push harder toward benign.
     Victims whose `symmetrizes` attribute is true are offered no edge whose
-    reverse is present (see candidate_edges). Each candidate integrates
-    along its own path; rows are batched and chunked.
+    reverse is present (see candidate_edges). Such a victim sees the same
+    symmetrized graph on the path of (s,t) as on that of (t,s), so the two
+    scores are equal; one path per unordered pair is integrated, along its
+    lexicographically smaller edge, and both directed keys get its score.
+    Other victims integrate one path per directed candidate. Rows (one per
+    path per step) are batched and chunked.
     """
     if ig_steps < 1:
         raise ValueError("ig_steps must be at least 1")
     victim = as_victim(victim)
-    cands = candidate_edges(graph, getattr(victim, "symmetrizes", False))
+    symmetric = getattr(victim, "symmetrizes", False)
+    cands = candidate_edges(graph, symmetric)
     if not cands:
         raise NoCandidateEdges(f"graph {graph.graph_id} has no candidate edges left")
     base = dense_adjacency(graph)
     n = graph.node_count
 
-    scores = np.zeros(len(cands))
-    rows = [(ci, (k + 1) / ig_steps) for ci in range(len(cands))
-            for k in range(ig_steps)]
-    for start in range(0, len(rows), CHUNK_ROWS):
-        chunk = rows[start:start + CHUNK_ROWS]
-        a_batch = np.tile(base, (len(chunk), 1, 1))
-        for b, (ci, alpha) in enumerate(chunk):
-            s, t = cands[ci]
-            a_batch[b, s, t] = alpha
+    src, dst = np.array(cands, dtype=np.intp).T
+    if symmetric:
+        src, dst = np.minimum(src, dst), np.maximum(src, dst)
+    keys, owner = np.unique(src * n + dst, return_inverse=True)
+    path_src, path_dst = np.divmod(keys, n)
+
+    # one row per (path, step), path-major; step k sets the entry to (k+1)/m
+    row_src = np.repeat(path_src, ig_steps)
+    row_dst = np.repeat(path_dst, ig_steps)
+    row_alpha = np.tile(np.arange(1, ig_steps + 1) / ig_steps, len(keys))
+    grads = np.empty(len(row_src))
+    for start in range(0, len(grads), CHUNK_ROWS):
+        rows = slice(start, start + CHUNK_ROWS)
+        s, t = row_src[rows], row_dst[rows]
+        b = np.arange(len(s))
+        a_batch = np.tile(base, (len(s), 1, 1))
+        a_batch[b, s, t] = row_alpha[rows]
         _, da = victim.margin_grad_batched(graph.features, a_batch)
-        for b, (ci, _) in enumerate(chunk):
-            s, t = cands[ci]
-            scores[ci] += da[b, s, t]
+        grads[rows] = da[b, s, t]
+
+    per_step = grads.reshape(len(keys), ig_steps)
+    scores = np.zeros(len(keys))
+    for k in range(ig_steps):  # accumulate in step order
+        scores += per_step[:, k]
     scores /= ig_steps
     if not np.all(np.isfinite(scores)):
         raise ad.NonFiniteError("saliency scores went non-finite")
-    return {edge: float(score) for edge, score in zip(cands, scores)}
+    return {edge: float(scores[i]) for edge, i in zip(cands, owner)}
 
 
 # ------------------------------------------------------------------ attack loops

@@ -258,6 +258,23 @@ def _load_checkpoint(path):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+def _load_split(path, name: str) -> list[str]:
+    """The graph ids of one partition of a training run's split.json."""
+    if not os.path.exists(path):
+        raise ConfigError(f"split file not found: {path}")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            split_ids = json.load(fh)
+    except ValueError as exc:  # malformed JSON or text
+        raise ConfigError(f"{path}: not a JSON split file: {exc}") from exc
+    if not isinstance(split_ids, dict) or name not in split_ids:
+        raise ConfigError(f"split {name!r} not present in {path}")
+    ids = split_ids[name]
+    if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
+        raise ConfigError(f"{path}: split {name!r} must be a list of graph ids")
+    return ids
+
+
 def _check_schema(params: M.ModelParams, graphs, checkpoint_path, dataset_path):
     if not graphs:
         raise ConfigError(f"{dataset_path}: dataset is empty")
@@ -393,12 +410,12 @@ def cmd_eval(args) -> None:
     if args.split != "all":
         if not args.split_file:
             raise ConfigError("--split requires --split-file")
-        with open(args.split_file, "r", encoding="utf-8") as fh:
-            split_ids = json.load(fh)
-        if args.split not in split_ids:
-            raise ConfigError(f"split {args.split!r} not present in {args.split_file}")
-        graphs = _split_parts(graphs, {args.split: split_ids[args.split]})[args.split]
+        ids = _load_split(args.split_file, args.split)
+        graphs = _split_parts(graphs, {args.split: ids})[args.split]
         inputs["split_file"] = args.split_file
+    elif args.split_file:
+        raise ConfigError(f"--split-file {args.split_file} needs --split "
+                          f"train, validation or test")
     if not graphs:
         raise ConfigError("no graphs selected for evaluation")
 

@@ -242,16 +242,25 @@ def bind_params(tape: ad.Tape, params: ModelParams,
     return {name: make(arr) for name, arr in params.named_arrays().items()}
 
 
+def _layer_tensors(bound: dict[str, ad.Tensor], prefix: str) -> list[ad.Tensor]:
+    """Layers `prefix.0`, `prefix.1`, ... in index order (not string order,
+    which would put layer 10 before layer 2)."""
+    layers = []
+    while f"{prefix}.{len(layers)}" in bound:
+        layers.append(bound[f"{prefix}.{len(layers)}"])
+    return layers
+
+
 def encoder_tensors(bound: dict[str, ad.Tensor]) -> list[ad.Tensor]:
-    return [bound[k] for k in sorted(bound) if k.startswith("encoder.")]
+    return _layer_tensors(bound, "encoder")
 
 
 def decoder_tensors(bound: dict[str, ad.Tensor]) -> list[ad.Tensor]:
-    return [bound[k] for k in sorted(bound) if k.startswith("decoder.")]
+    return _layer_tensors(bound, "decoder")
 
 
 def head_tensors(bound: dict[str, ad.Tensor]) -> list[ad.Tensor]:
-    return [bound[k] for k in sorted(bound) if k.startswith("head.")]
+    return _layer_tensors(bound, "head")
 
 
 def head_logits(g: ad.Tensor, head_weights: list[ad.Tensor]) -> ad.Tensor:
@@ -321,7 +330,7 @@ def save_checkpoint(path, params: ModelParams, meta: dict) -> None:
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    if payload.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a checkpoint file")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {payload.get('version')}")

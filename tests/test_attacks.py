@@ -25,8 +25,8 @@ def rand_graph(n, seed, label=1, p=0.3):
     return FeatureGraph(n, edges, feats, label, f"g{seed}")
 
 
-def rand_params(seed, hidden=8, head=False):
-    p = M.init_params(D, hidden, 2, rng_seed=seed)
+def rand_params(seed, hidden=8, head=False, layers=2):
+    p = M.init_params(D, hidden, layers, rng_seed=seed)
     # fresh inits are near the proxy tie; spread the proxies so margins are real
     rng = np.random.default_rng(seed + 99)
     p.proxy_benign = rng.normal(size=hidden)
@@ -74,6 +74,24 @@ class ThresholdVictim:
         return a_batch[:, 0, 2] * 5.0, grad
 
 
+class RowCounter:
+    """Forwards to a victim and counts the batch rows it is asked for. It has
+    no `symmetrizes` attribute, so it is scored like any duck-typed victim:
+    one path per directed candidate."""
+
+    def __init__(self, victim):
+        self.victim = victim
+        self.rows = 0
+
+    def margin_grad_batched(self, features, a_batch):
+        self.rows += a_batch.shape[0]
+        return self.victim.margin_grad_batched(features, a_batch)
+
+
+class SymmetricRowCounter(RowCounter):
+    symmetrizes = True
+
+
 # ---------------------------------------------------- relaxed forward correctness
 
 @pytest.mark.parametrize("head", [False, True])
@@ -85,6 +103,19 @@ def test_relaxed_margin_at_binary_adjacency_matches_predict(head):
         f, _ = victim.margin_grad_batched(g.features, AT.dense_adjacency(g)[None])
         _, s0, s1 = M.predict(g, params)
         assert f[0] == pytest.approx(s0 - s1, abs=1e-12), seed
+
+
+@pytest.mark.parametrize("layers", [11, 12])
+def test_relaxed_margin_matches_predict_at_any_depth(layers):
+    """Sorted as strings, encoder.10 comes before encoder.2; predict must
+    still run the layers in the order the attack differentiates."""
+    g = rand_graph(6, 4)
+    for head in (False, True):
+        params = rand_params(layers, head=head, layers=layers)
+        f, _ = AT.DetectorVictim(params).margin_grad_batched(
+            g.features, AT.dense_adjacency(g)[None])
+        _, s0, s1 = M.predict(g, params)
+        assert f[0] == pytest.approx(s0 - s1, abs=1e-12), head
 
 
 def test_surrogate_gnn_margin_matches_tape_forward():
@@ -202,6 +233,34 @@ def test_saliency_chunking_does_not_change_scores(monkeypatch):
     assert set(full) == set(chunked)
     for e in full:
         assert chunked[e] == pytest.approx(full[e], abs=1e-12)
+
+
+@pytest.mark.parametrize("case", ["detector", "gnn2_mlp"])
+def test_pair_scores_equal_directed_scores_bit_for_bit(case):
+    g = rand_graph(7, 31, p=0.3)
+    victim = (AT.DetectorVictim(rand_params(32)) if case == "detector"
+              else AT.SurrogateVictim(AT._init_surrogate("gnn2_mlp", D, 8, 3)))
+    paired = AT.edge_saliency_ig(victim, g, 3)
+    directed = AT.edge_saliency_ig(RowCounter(victim), g, 3)
+    assert list(paired) == AT.candidate_edges(g, symmetric=True)
+    assert paired == {e: directed[e] for e in paired}
+
+
+def test_symmetrizing_victim_gets_one_row_per_pair_per_step():
+    g = rand_graph(7, 33, p=0.3)
+    counter = SymmetricRowCounter(AT.DetectorVictim(rand_params(34)))
+    scores = AT.edge_saliency_ig(counter, g, 5)
+    pairs = {frozenset(e) for e in scores}
+    assert len(scores) == 2 * len(pairs)  # both directions of every pair
+    assert counter.rows == len(pairs) * 5
+
+
+def test_duck_typed_victim_gets_every_directed_row():
+    g = rand_graph(7, 33, p=0.3)
+    counter = RowCounter(AT.DetectorVictim(rand_params(34)))
+    scores = AT.edge_saliency_ig(counter, g, 5)
+    assert list(scores) == AT.candidate_edges(g)
+    assert counter.rows == len(scores) * 5
 
 
 # ---------------------------------------------------- whitebox loop

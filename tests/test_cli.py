@@ -236,6 +236,34 @@ def test_eval_split_without_file_exit_2(workspace, tmp_path):
                      "--out", str(tmp_path / "m.csv"), "--split", "test"]) == 2
 
 
+@pytest.mark.parametrize("content", [None, "{not json", '{"test": 5}', '["test"]'],
+                         ids=["missing", "malformed", "not_a_list", "not_an_object"])
+def test_eval_bad_split_file_exit_2_naming_it(workspace, tmp_path, capsys, content):
+    split_file = tmp_path / "split.json"
+    if content is not None:
+        split_file.write_text(content, encoding="utf-8")
+    assert cli.main(["eval", workspace["checkpoint"], workspace["dataset"],
+                     "--out", str(tmp_path / "m.csv"), "--split", "test",
+                     "--split-file", str(split_file)]) == 2
+    assert str(split_file) in capsys.readouterr().err
+
+
+def test_eval_split_file_without_split_exit_2(workspace, tmp_path, capsys):
+    split_file = os.path.join(workspace["out_dir"], "split.json")
+    assert cli.main(["eval", workspace["checkpoint"], workspace["dataset"],
+                     "--out", str(tmp_path / "m.csv"),
+                     "--split-file", split_file]) == 2
+    assert split_file in capsys.readouterr().err
+
+
+def test_eval_checkpoint_not_an_object_exit_2(workspace, tmp_path, capsys):
+    ckpt = tmp_path / "list.json"
+    ckpt.write_text("[]\n", encoding="utf-8")
+    assert cli.main(["eval", str(ckpt), workspace["dataset"],
+                     "--out", str(tmp_path / "m.csv")]) == 2
+    assert str(ckpt) in capsys.readouterr().err
+
+
 def test_eval_schema_mismatch_names_both_widths(workspace, tmp_path, capsys):
     cfg = write_cfg(tmp_path / "g.cfg",
                     **{**GEN_KV, "opcode_dim": 3, "permission_dim": 2,

@@ -289,6 +289,27 @@ def test_predict_equals_forward_after_empty_mask_plan():
     np.testing.assert_array_equal(emb, M.graph_embedding(g, p))
 
 
+@pytest.mark.parametrize("layers", [11, 12])
+def test_deep_models_run_layers_in_index_order(layers):
+    p = M.init_params(SCHEMA, 8, layers, rng_seed=layers)
+    g = make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)], seed=1)
+    tape = ad.Tape()
+    bound = M.bind_params(tape, p, trainable=False)
+    enc = M.encoder_tensors(bound)
+    dec = M.decoder_tensors(bound)
+    for tensors, arrays in ((enc, p.encoder_weights), (dec, p.decoder_weights)):
+        assert len(tensors) == layers
+        assert all(np.array_equal(t.value, w) for t, w in zip(tensors, arrays))
+    want = dense_oracle(g, g.features, p.encoder_weights, final_linear=False)
+    np.testing.assert_allclose(M.graph_embedding(g, p), want.mean(axis=0),
+                               atol=1e-12)
+    h = M.encode(g, tape.constant(g.features), enc)
+    z = M.decode(g, h, dec)
+    np.testing.assert_allclose(
+        z.value, dense_oracle(g, want, p.decoder_weights, final_linear=True),
+        atol=1e-12)
+
+
 def test_predict_rejects_empty_graph():
     g = FeatureGraph(0, [], np.zeros((0, 4)), 0, "empty")
     p = M.init_params(SCHEMA, 8, 1, rng_seed=0)
