@@ -244,9 +244,13 @@ def _read_text(path) -> str:
 
 def _load_graphs(path):
     try:
-        return load_dataset(path)
+        graphs, schema = load_dataset(path)
     except (FileNotFoundError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+    empty = next((g.graph_id for g in graphs if g.node_count == 0), None)
+    if empty is not None:
+        raise ConfigError(f"{path}: graph {empty} has no nodes")
+    return graphs, schema
 
 
 def _load_checkpoint(path):
@@ -521,7 +525,7 @@ def cmd_export_embeddings(args) -> None:
     rows = []
     for g in graphs:
         emb = M.graph_embedding(g, params)
-        _, s0, s1 = M.predict(g, params)
+        s0, s1 = M.embedding_scores(emb, params)
         rows.append([g.graph_id, g.label] + [_fmt(v) for v in emb]
                     + [_fmt(s0), _fmt(s1)])
     header = ["graph_id", "label"] + [f"g_{i + 1}" for i in range(h)] \

@@ -127,13 +127,33 @@ class SyntheticConfig:
                              f"bit string")
 
 
-def _row_to_bits(row: np.ndarray) -> str:
-    return "".join("1" if v else "0" for v in row)
-
-
 def _bits_to_row(bits: str) -> np.ndarray:
     return np.fromiter((1.0 if c == "1" else 0.0 for c in bits), dtype=np.float64,
                        count=len(bits))
+
+
+def _rows_to_bits(features: np.ndarray) -> list[str]:
+    """Each row of a 0/1 matrix as a string of '0'/'1' characters: the
+    character codes, viewed d at a time as one string."""
+    n, d = features.shape
+    codes = np.where(features != 0, ord("1"), ord("0")).astype(np.uint32)
+    return codes.view(f"U{d}").reshape(n).tolist()
+
+
+def _parse_bit_rows(rows: list, d: int) -> np.ndarray | None:
+    """The 0/1 matrix of `rows`, or None unless every row is a d-character
+    string of '0' and '1'. The rows are joined and compared as one byte array."""
+    try:
+        joined = "".join(rows)  # TypeError unless every row is a str
+    except TypeError:
+        return None
+    if set(map(len, rows)) - {d} or not joined.isascii():
+        return None
+    codes = np.frombuffer(joined.encode("ascii"), dtype=np.uint8).reshape(len(rows), d)
+    ones = codes == ord("1")
+    if not np.all(ones | (codes == ord("0"))):
+        return None
+    return ones.astype(np.float64)
 
 
 def save_dataset(path, graphs: list[FeatureGraph], schema: FeatureSchema) -> None:
@@ -153,7 +173,7 @@ def save_dataset(path, graphs: list[FeatureGraph], schema: FeatureSchema) -> Non
             "label": g.label,
             "n": g.node_count,
             "edges": [[s, t] for s, t in g.edges],
-            "x": [_row_to_bits(g.features[i]) for i in range(g.node_count)],
+            "x": _rows_to_bits(g.features),
         }
         if g.year_tag is not None:
             rec["year"] = int(g.year_tag)
@@ -182,7 +202,7 @@ def load_dataset(path) -> tuple[list[FeatureGraph], FeatureSchema]:
         fail(1, "header must carry opcode_dim and permission_dim")
     try:
         schema = FeatureSchema(int(header["opcode_dim"]), int(header["permission_dim"]))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         fail(1, f"bad header dims: {exc}")
 
     graphs = []
@@ -198,14 +218,14 @@ def load_dataset(path) -> tuple[list[FeatureGraph], FeatureSchema]:
             fail(lineno, f"record missing fields {sorted(missing)}")
         n = rec["n"]
         bits = rec["x"]
-        if not isinstance(bits, list) or len(bits) != n:
+        if not isinstance(bits, list):
+            fail(lineno, f"record {rec['id']}: feature rows must be a list")
+        if len(bits) != n:
             fail(lineno, f"record {rec['id']}: expected {n} feature rows, got {len(bits)}")
-        for row in bits:
-            if not isinstance(row, str) or len(row) != schema.d or set(row) - {"0", "1"}:
-                fail(lineno, f"record {rec['id']}: feature rows must be {schema.d}-character "
-                             f"bit strings")
-        feats = (np.stack([_bits_to_row(b) for b in bits])
-                 if n else np.zeros((0, schema.d)))
+        feats = _parse_bit_rows(bits, schema.d)
+        if feats is None:
+            fail(lineno, f"record {rec['id']}: feature rows must be {schema.d}-character "
+                         f"bit strings")
         try:
             g = FeatureGraph(
                 node_count=int(n),
@@ -215,7 +235,7 @@ def load_dataset(path) -> tuple[list[FeatureGraph], FeatureSchema]:
                 graph_id=str(rec["id"]),
                 year_tag=int(rec["year"]) if "year" in rec and rec["year"] is not None else None,
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             fail(lineno, str(exc))
         graphs.append(g)
     return graphs, schema
@@ -273,7 +293,7 @@ def _background_features(rng: np.random.Generator, n: int, d: int,
                          signature: np.ndarray) -> np.ndarray:
     """Random 0/1 rows, resampled so no background row equals the motif signature."""
     feats = rng.integers(0, 2, size=(n, d)).astype(np.float64)
-    for i in range(n):
+    for i in np.flatnonzero(np.all(feats == signature, axis=1)):
         while np.array_equal(feats[i], signature):
             feats[i] = rng.integers(0, 2, size=d).astype(np.float64)
     return feats
@@ -302,7 +322,7 @@ def generate_synthetic_dataset(config: SyntheticConfig) -> list[FeatureGraph]:
         feats = _background_features(rng, n_bg, d, signature)
         mask = rng.random((n_bg, n_bg)) < config.background_edge_prob
         np.fill_diagonal(mask, False)
-        edges = [(int(s), int(t)) for s, t in np.argwhere(mask)]
+        edges = np.argwhere(mask).tolist()
 
         n = n_bg
         if is_mal:

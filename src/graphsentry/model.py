@@ -11,6 +11,7 @@ from __future__ import annotations
 import base64
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -183,18 +184,20 @@ def remask(embeddings: ad.Tensor, plan: MaskPlan) -> ad.Tensor:
 
 
 def propagation_terms(graph: FeatureGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Symmetrized edge list plus 1/sqrt(deg_u*deg_v) coefficients."""
-    und = set()
-    for s, t in graph.edges:
-        und.add((s, t))
-        und.add((t, s))
-    if not und:
-        z = np.zeros(0, dtype=np.intp)
-        return z, z, np.zeros(0)
-    pairs = np.array(sorted(und), dtype=np.intp)
-    deg = np.zeros(graph.node_count)
-    np.add.at(deg, pairs[:, 1], 1.0)
-    src, dst = pairs[:, 0], pairs[:, 1]
+    """Symmetrized edge list, sorted by (src, dst), plus 1/sqrt(deg_u*deg_v)
+    coefficients. Each pair (s, t) is keyed s*n+t, so sorting the keys sorts
+    the pairs; `edge_aggregate` sums a node's neighbours in this order."""
+    n = graph.node_count
+    flat = np.fromiter(chain.from_iterable(graph.edges), dtype=np.intp,
+                       count=2 * len(graph.edges))
+    s, t = flat[0::2], flat[1::2]
+    keys = np.concatenate((s * n + t, t * n + s))
+    keys.sort()
+    first = np.empty(keys.size, dtype=bool)  # first of each run of equal keys
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    src, dst = np.divmod(keys[first], n)
+    deg = np.bincount(dst, minlength=n).astype(np.float64)
     coef = 1.0 / np.sqrt(deg[src] * deg[dst])
     return src, dst, coef
 
@@ -281,10 +284,9 @@ def graph_embedding(graph: FeatureGraph, params: ModelParams) -> np.ndarray:
     return g.value
 
 
-def predict(graph: FeatureGraph, params: ModelParams) -> tuple[int, float, float]:
-    """Full unmasked forward; scores are proxy cosines (or head logits when a
-    head is attached). Ties go to malicious."""
-    g = graph_embedding(graph, params)
+def embedding_scores(g: np.ndarray, params: ModelParams) -> tuple[float, float]:
+    """(benign, malicious) scores of a graph embedding: proxy cosines, or head
+    logits when a head is attached."""
     if params.head_weights is not None:
         hid = np.maximum(g @ params.head_weights[0], 0.0)
         s0, s1 = (hid @ params.head_weights[1]).tolist()
@@ -293,6 +295,12 @@ def predict(graph: FeatureGraph, params: ModelParams) -> tuple[int, float, float
         p0, p1 = params.proxy_benign, params.proxy_malicious
         s0 = float(g @ p0) / (gn * max(float(np.linalg.norm(p0)), ad.NORM_CLAMP))
         s1 = float(g @ p1) / (gn * max(float(np.linalg.norm(p1)), ad.NORM_CLAMP))
+    return s0, s1
+
+
+def predict(graph: FeatureGraph, params: ModelParams) -> tuple[int, float, float]:
+    """Full unmasked forward and its `embedding_scores`. Ties go to malicious."""
+    s0, s1 = embedding_scores(graph_embedding(graph, params), params)
     return (1 if s1 >= s0 else 0), s0, s1
 
 

@@ -276,6 +276,36 @@ def test_eval_schema_mismatch_names_both_widths(workspace, tmp_path, capsys):
     assert "6" in err and "5" in err
 
 
+@pytest.mark.parametrize("command", ["train", "eval", "export-embeddings"])
+def test_graph_without_nodes_exit_2_naming_it(workspace, tmp_path, capsys, command):
+    with open(workspace["dataset"], "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    lines.append('{"edges":[],"id":"hollow","label":0,"n":0,"x":[]}')
+    path = str(tmp_path / "hollow.jsonl")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    out = str(tmp_path / "out")
+    argv = {"train": ["train", path, workspace["train_cfg"], out],
+            "eval": ["eval", workspace["checkpoint"], path, "--out", out],
+            "export-embeddings": ["export-embeddings", workspace["checkpoint"], path, out]}
+    assert cli.main(argv[command]) == 2
+    assert f"{path}: graph hollow has no nodes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,value", [("label", "1e999"), ("n", "Infinity"),
+                                         ("x", "5"), ("edges", "[[1e999,0]]")])
+def test_eval_malformed_record_field_exit_2(workspace, tmp_path, capsys, field, value):
+    with open(workspace["dataset"], "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    rec = json.loads(lines[1])
+    lines[1] = json.dumps({**rec, field: None}).replace("null", value)
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    assert cli.main(["eval", workspace["checkpoint"], str(path),
+                     "--out", str(tmp_path / "m.csv")]) == 2
+    assert f"{path}:2: " in capsys.readouterr().err
+
+
 def test_eval_missing_checkpoint_exit_2(workspace, tmp_path):
     assert cli.main(["eval", str(tmp_path / "none.json"), workspace["dataset"],
                      "--out", str(tmp_path / "m.csv")]) == 2
@@ -389,6 +419,21 @@ def test_export_embeddings_matches_predict(workspace, tmp_path):
         assert int(r[1]) == g.label
         emb = M.graph_embedding(g, params)
         assert np.array_equal(np.array([float(c) for c in r[2:2 + h]]), emb)
+
+
+def test_export_encodes_each_graph_once(workspace, tmp_path, monkeypatch):
+    calls = []
+    encode_once = M.graph_embedding
+
+    def counted(graph, params):
+        calls.append(graph.graph_id)
+        return encode_once(graph, params)
+
+    monkeypatch.setattr(M, "graph_embedding", counted)
+    assert cli.main(["export-embeddings", workspace["checkpoint"],
+                     workspace["dataset"], str(tmp_path / "emb.csv")]) == 0
+    graphs, _ = load_dataset(workspace["dataset"])
+    assert calls == [g.graph_id for g in graphs]
 
 
 def test_export_rerun_byte_identical(workspace, tmp_path):

@@ -4,6 +4,7 @@ The BFS extractor is checked against a brute-force per-seed reachability
 oracle, and the synthetic generator against an independent motif-scan oracle
 (signature rows must form a connected planted component, wired both ways).
 """
+import json
 import os
 import tempfile
 
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import graphsentry.graphdata as G
 from graphsentry.graphdata import (
     DatasetSplit,
     FeatureGraph,
@@ -160,12 +162,71 @@ def test_load_rejects_missing_header_fields(tmp_path):
         load_dataset(path)
 
 
+@pytest.mark.parametrize("dim", ["1e999", "-Infinity", '"x"', "null"])
+def test_load_rejects_unconvertible_header_dims(tmp_path, dim):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"opcode_dim":%s,"permission_dim":2}\n' % dim)
+    with pytest.raises(ValueError, match=r":1: bad header dims"):
+        load_dataset(path)
+
+
 def test_save_is_byte_deterministic(tmp_path):
     graphs = generate_synthetic_dataset(_small_config(seed=5))
     p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     save_dataset(p1, graphs, SCHEMA)
     save_dataset(p2, graphs, SCHEMA)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+HEADER = '{"format":"graphsentry-dataset","opcode_dim":3,"permission_dim":2,"version":1}'
+
+
+def write_records(path, *records):
+    path.write_text("\n".join([HEADER, *records]) + "\n")
+    return path
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.text("01", min_size=SCHEMA.d, max_size=SCHEMA.d), max_size=12))
+def test_loader_rows_equal_per_row_parse(rows):
+    with tempfile.TemporaryDirectory() as base:
+        path = os.path.join(base, "rows.jsonl")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(HEADER + "\n" + json.dumps(
+                {"edges": [], "id": "r", "label": 0, "n": len(rows), "x": rows}) + "\n")
+        (g,), _ = load_dataset(path)
+    want = (np.stack([G._bits_to_row(b) for b in rows]) if rows
+            else np.zeros((0, SCHEMA.d)))
+    assert g.features.dtype == want.dtype and g.features.shape == want.shape
+    assert np.array_equal(g.features, want)
+
+
+@pytest.mark.parametrize("row", ['"00020"', '"00 00"', '"0001\uff11"', '"0000"',
+                                 '"000000"', "10101", "null", '["10101"]'])
+def test_loader_rejects_bad_bit_row_naming_its_line(tmp_path, row):
+    good = '{"edges":[],"id":"ok","label":0,"n":1,"x":["10101"]}'
+    bad = '{"edges":[],"id":"bad","label":0,"n":2,"x":["11111",%s]}' % row
+    path = write_records(tmp_path / "bad.jsonl", good, bad)
+    with pytest.raises(ValueError, match=r":3: record bad: feature rows must be "
+                                         r"5-character bit strings"):
+        load_dataset(path)
+
+
+def test_loader_accepts_float_node_count(tmp_path):
+    rec = '{"edges":[[0,2]],"id":"f","label":1,"n":3.0,"x":["10101","00000","11111"]}'
+    (g,), _ = load_dataset(write_records(tmp_path / "f.jsonl", rec))
+    assert g.node_count == 3 and g.edges == [(0, 2)]
+    np.testing.assert_array_equal(g.features[2], np.ones(5))
+
+
+def test_save_writes_per_row_bit_strings(tmp_path):
+    graphs = generate_synthetic_dataset(_small_config(n=8, frac=0.25, seed=3))
+    graphs.append(make_graph(0, [], gid="empty"))
+    path = tmp_path / "rows.jsonl"
+    save_dataset(path, graphs, SCHEMA)
+    records = [json.loads(ln) for ln in path.read_text().splitlines()[1:]]
+    for g, rec in zip(graphs, records, strict=True):
+        assert rec["x"] == ["".join("1" if v else "0" for v in row) for row in g.features]
 
 
 # ------------------------------------------------------------------ subgraph extraction
@@ -312,6 +373,42 @@ def test_synthetic_serialization_is_deterministic(seed):
         save_dataset(p2, generate_synthetic_dataset(cfg), SCHEMA)
         with open(p1, "rb") as f1, open(p2, "rb") as f2:
             assert f1.read() == f2.read()
+
+
+def per_row_background(rng, n, d, signature):
+    """The earlier `_background_features`, kept as its oracle: every row is
+    checked in turn and redrawn while it equals the signature."""
+    feats = rng.integers(0, 2, size=(n, d)).astype(np.float64)
+    for i in range(n):
+        while np.array_equal(feats[i], signature):
+            feats[i] = rng.integers(0, 2, size=d).astype(np.float64)
+    return feats
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(0, 30), st.text("01", min_size=2, max_size=4))
+def test_background_features_draw_like_per_row_resampling(seed, n, sig):
+    signature = G._bits_to_row(sig)
+    rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = G._background_features(rng_new, n, len(sig), signature)
+    want = per_row_background(rng_old, n, len(sig), signature)
+    assert np.array_equal(got, want)
+    assert rng_new.bit_generator.state == rng_old.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_generator_matches_per_row_resampling_on_one_plus_one_bits(monkeypatch, seed):
+    cfg = SyntheticConfig(n_graphs=40, benign_node_range=(2, 9), motif_node_count=2,
+                          motif_feature_signature="10", malicious_fraction=0.25,
+                          background_edge_prob=0.3, rng_seed=seed,
+                          schema=FeatureSchema(1, 1))
+    got = generate_synthetic_dataset(cfg)
+    monkeypatch.setattr(G, "_background_features", per_row_background)
+    want = generate_synthetic_dataset(cfg)
+    for a, b in zip(got, want, strict=True):
+        assert (a.graph_id, a.label, a.node_count, a.edges) == \
+            (b.graph_id, b.label, b.node_count, b.edges)
+        assert np.array_equal(a.features, b.features)
 
 
 # ------------------------------------------------------------------ splits
