@@ -29,7 +29,13 @@ from .losses import cross_entropy_logits
 from .training import Adam
 
 DEG_EPS = 1e-12
-CHUNK_ROWS = 512
+# Rows per margin_grad_batched call. At desk sizes (n <= 19, hidden 32) one
+# (B,n,h) float64 array of a chunk is at most 0.3 MB, so an op's operands fit
+# in a core's L2 cache (at 512 rows one array is 2.5 MB). Every op of the
+# relaxed pass is per row and the score heads run on fixed blocks of
+# HEAD_ROWS rows (see _fixed_rows), so the chunk size cannot change a score.
+CHUNK_ROWS = 64
+HEAD_ROWS = 64  # one shape for every head call, a multiple of BLAS's row blocking
 
 ARCHITECTURES = ("mlp_on_degree_features", "gnn2_mlp")
 
@@ -143,7 +149,8 @@ def _margin_grad_gnn(gnn_weights: list[np.ndarray], head, x: np.ndarray,
         dq = dh * (qs[l] > 0)
         dm = dq @ gnn_weights[l].T
         dp += dm @ hs[l].transpose(0, 2, 1)
-        dh = dm + np.transpose(p, (0, 2, 1)) @ dm
+        if l > 0:  # nothing reads the adjoint of the input features
+            dh = dm + np.transpose(p, (0, 2, 1)) @ dm
 
     ds = dp * r[:, :, None] * r[:, None, :]
     dps = dp * s  # dr_v = sum_j dP_vj S_vj r_j + sum_j dP_jv S_jv r_j
@@ -155,6 +162,21 @@ def _margin_grad_gnn(gnn_weights: list[np.ndarray], head, x: np.ndarray,
     idx = np.arange(n)
     da[:, idx, idx] = 0.0
     return f, da
+
+
+def _fixed_rows(head):
+    """`head` evaluated on blocks of exactly HEAD_ROWS rows, the last one
+    zero-padded. BLAS picks its kernel for a (B,h) product by B, so without
+    this a row's bits would depend on how many rows share its chunk."""
+    def blocked(g):
+        rows = len(g)
+        padded = np.zeros((-(-rows // HEAD_ROWS) * HEAD_ROWS, g.shape[1]))
+        padded[:rows] = g
+        parts = [head(padded[i:i + HEAD_ROWS])
+                 for i in range(0, len(padded), HEAD_ROWS)]
+        return (np.concatenate([f for f, _ in parts])[:rows],
+                np.concatenate([dg for _, dg in parts])[:rows])
+    return blocked
 
 
 def _proxy_head(p0: np.ndarray, p1: np.ndarray):
@@ -171,7 +193,7 @@ def _proxy_head(p0: np.ndarray, p1: np.ndarray):
         dc0 = p0[None, :] / (gn * n0)[:, None] - (c0 / gn**2)[:, None] * g * glive
         dc1 = p1[None, :] / (gn * n1)[:, None] - (c1 / gn**2)[:, None] * g * glive
         return f, dc0 - dc1
-    return head
+    return _fixed_rows(head)
 
 
 def _logits_head(w0: np.ndarray, w1: np.ndarray):
@@ -183,7 +205,7 @@ def _logits_head(w0: np.ndarray, w1: np.ndarray):
         f = hid @ u
         dg = (u[None, :] * (pre > 0)) @ w0.T
         return f, dg
-    return head
+    return _fixed_rows(head)
 
 
 def _margin_grad_degree_mlp(weights: dict, x: np.ndarray,

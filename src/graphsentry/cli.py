@@ -258,8 +258,8 @@ def _load_checkpoint(path):
         raise ConfigError(f"checkpoint not found: {path}")
     try:
         return M.load_checkpoint(path)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    except ValueError as exc:  # the message names the file and the field
+        raise ConfigError(str(exc)) from exc
 
 
 def _load_split(path, name: str) -> list[str]:

@@ -9,7 +9,9 @@ Neighborhoods are taken on the symmetrized edge set.
 from __future__ import annotations
 
 import base64
+import binascii
 import json
+import math
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -63,6 +65,10 @@ class ModelParams:
             raise ValueError(f"mask_token must have length {d}")
         if self.proxy_benign.shape != (h,) or self.proxy_malicious.shape != (h,):
             raise ValueError(f"proxies must have length {h}")
+        if self.head_weights is not None:
+            chain = [w.shape for w in self.head_weights]
+            if chain != [(h, h), (h, 2)]:
+                raise ValueError(f"head shape chain {chain} is not h->h->2")
         for arr in self.named_arrays().values():
             if not np.all(np.isfinite(arr)):
                 raise ValueError("parameters contain non-finite entries")
@@ -274,13 +280,13 @@ def head_logits(g: ad.Tensor, head_weights: list[ad.Tensor]) -> ad.Tensor:
 
 
 def graph_embedding(graph: FeatureGraph, params: ModelParams) -> np.ndarray:
-    """Unmasked encode + readout, no gradients."""
+    """Unmasked encode + readout, no gradients. Only the encoder weights
+    are placed on the tape; nothing else is read."""
     if graph.node_count < 1:
         raise ValueError(f"graph {graph.graph_id} is empty")
     tape = ad.Tape()
-    bound = bind_params(tape, params, trainable=False)
-    x = tape.constant(graph.features)
-    g = readout(encode(graph, x, encoder_tensors(bound)))
+    weights = [tape.constant(w) for w in params.encoder_weights]
+    g = readout(encode(graph, tape.constant(graph.features), weights))
     return g.value
 
 
@@ -310,9 +316,25 @@ def _encode_array(arr: np.ndarray) -> dict:
             "data": base64.b64encode(a.tobytes()).decode("ascii")}
 
 
-def _decode_array(obj: dict) -> np.ndarray:
-    raw = base64.b64decode(obj["data"])
-    return np.frombuffer(raw, dtype=np.float64).reshape(obj["shape"]).copy()
+def _decode_array(obj, ndim: int) -> np.ndarray:
+    """A tensor entry {"shape": [...], "data": base64 float64 bytes} of rank
+    `ndim`; ValueError says what is wrong with it."""
+    if not isinstance(obj, dict):
+        raise ValueError("must be an object with 'shape' and 'data'")
+    shape, data = obj.get("shape"), obj.get("data")
+    if (not isinstance(shape, list) or len(shape) != ndim
+            or not all(type(k) is int and k >= 0 for k in shape)):
+        raise ValueError(f"'shape' must be a list of {ndim} non-negative integers")
+    if not isinstance(data, str):
+        raise ValueError("'data' must be a base64 string")
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except binascii.Error as exc:
+        raise ValueError(f"'data' is not base64: {exc}") from None
+    if len(raw) != 8 * math.prod(shape):
+        raise ValueError(f"'data' holds {len(raw)} bytes; shape {shape} needs "
+                         f"{8 * math.prod(shape)}")
+    return np.frombuffer(raw, dtype=np.float64).reshape(shape).copy()
 
 
 def save_checkpoint(path, params: ModelParams, meta: dict) -> None:
@@ -335,23 +357,69 @@ def save_checkpoint(path, params: ModelParams, meta: dict) -> None:
         fh.write(canonical_json(payload) + "\n")
 
 
+def _field(payload: dict, path, name: str, ok, what: str):
+    """payload[name], which must be present and pass `ok`."""
+    if name not in payload:
+        raise ValueError(f"{path}: checkpoint field {name!r} is missing")
+    if not ok(payload[name]):
+        raise ValueError(f"{path}: checkpoint field {name!r} must be {what}")
+    return payload[name]
+
+
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    """Read a checkpoint written by `save_checkpoint`. Anything malformed,
+    missing or inconsistent raises ValueError naming the file and the field."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except (ValueError, RecursionError) as exc:  # malformed or too deeply nested
+        raise ValueError(f"{path}: not a JSON checkpoint: {exc}") from None
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a checkpoint file")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {payload.get('version')}")
-    tensors = {name: _decode_array(obj) for name, obj in payload["tensors"].items()}
-    enc_n, dec_n = payload["encoder_layers"], payload["decoder_layers"]
+    dims = {name: _field(payload, path, name, lambda v: type(v) is int and v >= 1,
+                         "a positive integer")
+            for name in ("feature_dim", "hidden_dim", "encoder_layers", "decoder_layers")}
+    has_head = _field(payload, path, "has_head", lambda v: isinstance(v, bool),
+                      "true or false")
+    meta = _field(payload, path, "meta", lambda v: isinstance(v, dict), "an object")
+    entries = _field(payload, path, "tensors", lambda v: isinstance(v, dict), "an object")
+    enc_n, dec_n = dims["encoder_layers"], dims["decoder_layers"]
+    if enc_n + dec_n > len(entries):
+        raise ValueError(f"{path}: {enc_n} encoder and {dec_n} decoder layers need "
+                         f"more tensors than the {len(entries)} present")
+    layers = ([f"encoder.{i}" for i in range(enc_n)]
+              + [f"decoder.{i}" for i in range(dec_n)]
+              + (["head.0", "head.1"] if has_head else []))
+    vectors = ["mask_token", "proxy_benign", "proxy_malicious"]
+    missing = [name for name in layers + vectors if name not in entries]
+    if missing:
+        raise ValueError(f"{path}: tensor {missing[0]!r} is missing")
+    extra = sorted(set(entries) - set(layers + vectors))
+    if extra:
+        raise ValueError(f"{path}: unexpected tensor {extra[0]!r}")
+    tensors = {}
+    for names, ndim in ((layers, 2), (vectors, 1)):
+        for name in names:
+            try:
+                tensors[name] = _decode_array(entries[name], ndim)
+            except ValueError as exc:
+                raise ValueError(f"{path}: tensor {name!r}: {exc}") from None
     params = ModelParams(
         encoder_weights=[tensors[f"encoder.{i}"] for i in range(enc_n)],
         decoder_weights=[tensors[f"decoder.{i}"] for i in range(dec_n)],
         mask_token=tensors["mask_token"],
         proxy_benign=tensors["proxy_benign"],
         proxy_malicious=tensors["proxy_malicious"],
-        head_weights=[tensors["head.0"], tensors["head.1"]]
-        if payload["has_head"] else None,
+        head_weights=[tensors["head.0"], tensors["head.1"]] if has_head else None,
     )
-    params.validate()
-    return params, payload["meta"]
+    try:
+        params.validate()
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    for name in ("feature_dim", "hidden_dim"):
+        if dims[name] != getattr(params, name):
+            raise ValueError(f"{path}: checkpoint field {name!r} is {dims[name]}, "
+                             f"but the tensors have {getattr(params, name)}")
+    return params, meta

@@ -225,14 +225,39 @@ def test_saliency_rejects_complete_graphs():
 
 
 def test_saliency_chunking_does_not_change_scores(monkeypatch):
-    g = rand_graph(6, 8)
-    victim = AT.DetectorVictim(rand_params(9))
-    full = AT.edge_saliency_ig(victim, g, 4)
-    monkeypatch.setattr(AT, "CHUNK_ROWS", 7)
-    chunked = AT.edge_saliency_ig(victim, g, 4)
-    assert set(full) == set(chunked)
-    for e in full:
-        assert chunked[e] == pytest.approx(full[e], abs=1e-12)
+    """Every op of the relaxed pass is per row and the score heads run on
+    fixed row blocks, so any chunk size gives the same score bits, for every
+    victim kind."""
+    g = rand_graph(12, 8, p=0.2)
+    victims = {
+        "proxy": AT.DetectorVictim(rand_params(9)),
+        "head": AT.DetectorVictim(rand_params(9, head=True)),
+        "gnn2_mlp": AT.SurrogateVictim(AT._init_surrogate("gnn2_mlp", D, 8, 3)),
+        "degree_mlp": AT.SurrogateVictim(
+            AT._init_surrogate("mlp_on_degree_features", D, 8, 3)),
+    }
+    default = AT.CHUNK_ROWS
+    pairs = {frozenset(e) for e in AT.candidate_edges(g, symmetric=True)}
+    assert len(pairs) * 4 > 2 * default  # the default size makes several chunks
+    for name, victim in victims.items():
+        want = AT.edge_saliency_ig(victim, g, 4)
+        for rows in (1, 7, default, 10**6):
+            monkeypatch.setattr(AT, "CHUNK_ROWS", rows)
+            assert AT.edge_saliency_ig(victim, g, 4) == want, (name, rows)
+        monkeypatch.setattr(AT, "CHUNK_ROWS", default)
+
+
+def test_chunking_does_not_change_whitebox_insertions(monkeypatch):
+    g = rand_graph(10, 41, p=0.2)
+    victim = AT.DetectorVictim(rand_params(42))
+    victim.label = lambda graph: 1  # never evaded, so every iteration runs
+    config = AT.AttackConfig(max_iterations=5, ig_steps=4)
+    added = {}
+    for rows in (1, 10**6):
+        monkeypatch.setattr(AT, "CHUNK_ROWS", rows)
+        added[rows] = AT.whitebox_attack(victim, g, config).edges_added
+    assert len(added[1]) == 5
+    assert added[1] == added[10**6]
 
 
 @pytest.mark.parametrize("case", ["detector", "gnn2_mlp"])

@@ -4,6 +4,8 @@ The sparse edge-list propagation is checked against an independent dense
 oracle that forms D^{-1/2} A D^{-1/2} + I explicitly on the symmetrized
 adjacency matrix and applies it before each weight multiply.
 """
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -398,6 +400,59 @@ def test_checkpoint_round_trips_bit_exactly(tmp_path):
     path2 = tmp_path / "again.ckpt"
     M.save_checkpoint(path2, loaded, meta2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+DELETE = object()
+
+
+def _set(path, value):
+    """A change to a checkpoint payload: set the value at `path`, or delete
+    it when `value` is DELETE."""
+    def change(payload):
+        *keys, last = path
+        for key in keys:
+            payload = payload[key]
+        if value is DELETE:
+            del payload[last]
+        else:
+            payload[last] = value
+    return change
+
+
+@pytest.mark.parametrize("change,field", [
+    (_set(["encoder_layers"], "2"), "'encoder_layers'"),
+    (_set(["encoder_layers"], 3), "'encoder.2'"),
+    (_set(["has_head"], DELETE), "'has_head'"),
+    (_set(["tensors"], DELETE), "'tensors'"),
+    (_set(["tensors", "proxy_benign"], 5), "'proxy_benign'"),
+    (_set(["tensors", "encoder.0", "shape"], "x"), "'encoder.0'"),
+    (_set(["tensors", "encoder.0", "shape"], [-1, 16]), "'encoder.0'"),
+    (_set(["tensors", "mask_token", "data"], "AAAA"), "'mask_token'"),
+    (_set(["tensors", "mask_token", "data"], "####"), "'mask_token'"),
+    (_set(["tensors", "head.2"], {"shape": [1], "data": "AAAAAAAAAAA="}), "'head.2'"),
+    (_set(["tensors", "head.1"], M._encode_array(np.zeros((16, 3)))), "head"),
+    (_set(["hidden_dim"], 8), "'hidden_dim'"),
+    (_set(["meta"], []), "'meta'"),
+])
+def test_checkpoint_errors_name_the_file_and_field(tmp_path, change, field):
+    p = M.init_params(SCHEMA, 16, 2, rng_seed=9)
+    M.init_head(p, rng_seed=10)
+    path = tmp_path / "model.ckpt"
+    M.save_checkpoint(path, p, {})
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    change(payload)
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        M.load_checkpoint(path)
+    assert str(err.value).startswith(f"{path}: ") and field in str(err.value)
+
+
+def test_checkpoint_nested_too_deep_is_a_value_error(tmp_path):
+    path = tmp_path / "deep.ckpt"
+    path.write_text("[" * 100000 + "]" * 100000)
+    with pytest.raises(ValueError) as err:
+        M.load_checkpoint(path)
+    assert str(err.value).startswith(f"{path}: not a JSON checkpoint")
 
 
 def test_checkpoint_rejects_foreign_files(tmp_path):
