@@ -3,22 +3,25 @@
 The white-box attack scores every missing directed edge with path-integrated
 gradients of the benign-minus-malicious margin, taken on a relaxed forward
 pass where adjacency entries vary continuously in [0,1]. The relaxation
-symmetrizes smoothly (S = A + A^T - A*A^T) and normalizes by fractional
-degrees, so at binary adjacency it coincides exactly with the discrete
-forward. Since these victims read S, an edge whose reverse is present is
-invisible to them and is not offered, and (s,t) and (t,s) of a pair missing
-both ways score the same, so each such pair is integrated once. The black-box
-attack distills a surrogate from victim-predicted labels and reuses the same
-loop, judging success by querying the victim.
+(`model.relaxed_propagation`) symmetrizes smoothly (S = A + A^T - A*A^T) and
+normalizes by fractional degrees; at binary adjacency it is the propagation
+matrix the detector itself uses, and the relaxed forward is the detector's
+own layer stack (`model.gnn_layers`) with a batch axis. Since these victims
+read S, an edge whose reverse is present is invisible to them and is not
+offered, and (s,t) and (t,s) of a pair missing both ways score the same, so
+each such pair is integrated once. The black-box attack distills a surrogate
+from victim-predicted labels and reuses the same loop, judging success by
+querying the victim.
 
 Gradients with respect to adjacency are computed by a hand-derived, batched
 reverse pass over the relaxed forward, one batch row per unordered candidate
 pair per integration step (per directed candidate edge for a victim that does
-not symmetrize); the training tape stays out of the attack hot path.
+not symmetrize); the training tape stays out of the attack hot path. A
+victim's label needs no gradient and runs the forward alone.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +31,6 @@ from .graphdata import FeatureGraph
 from .losses import cross_entropy_logits
 from .training import Adam
 
-DEG_EPS = 1e-12
 # Rows per margin_grad_batched call. At desk sizes (n <= 19, hidden 32) one
 # (B,n,h) float64 array of a chunk is at most 0.3 MB, so an op's operands fit
 # in a core's L2 cache (at 512 rows one array is 2.5 MB). Every op of the
@@ -102,25 +104,7 @@ class AttackSummary:
     succeeded: int
 
 
-def dense_adjacency(graph: FeatureGraph) -> np.ndarray:
-    a = np.zeros((graph.node_count, graph.node_count))
-    for s, t in graph.edges:
-        a[s, t] = 1.0
-    return a
-
-
 # ------------------------------------------------------------------ relaxed forward
-
-
-def _relaxed_propagation(a_batch: np.ndarray):
-    """Smooth symmetrization and degree normalization for a (B,n,n) batch."""
-    at = np.transpose(a_batch, (0, 2, 1))
-    s = a_batch + at - a_batch * at
-    deg = s.sum(axis=2)
-    live = deg > DEG_EPS
-    r = 1.0 / np.sqrt(np.maximum(deg, DEG_EPS))
-    p = s * r[:, :, None] * r[:, None, :]
-    return s, deg, live, r, p, at
 
 
 def _margin_grad_gnn(gnn_weights: list[np.ndarray], head, x: np.ndarray,
@@ -129,16 +113,9 @@ def _margin_grad_gnn(gnn_weights: list[np.ndarray], head, x: np.ndarray,
 
     `head(g)` maps pooled embeddings (B,h) to (margin (B,), d margin/d g (B,h)).
     """
-    B, n, _ = a_batch.shape
-    s, deg, live, r, p, at = _relaxed_propagation(a_batch)
-
-    hs = [np.broadcast_to(x, (B,) + x.shape)]
-    qs = []
-    for w in gnn_weights:
-        m = hs[-1] + p @ hs[-1]
-        q = m @ w
-        qs.append(q)
-        hs.append(np.maximum(q, 0.0))
+    n = a_batch.shape[1]
+    s, deg, live, r, p, at = M.relaxed_propagation(a_batch)
+    hs, qs = M.gnn_layers(p, x, gnn_weights)
     g = hs[-1].mean(axis=1)
 
     f, dg = head(g)
@@ -148,7 +125,7 @@ def _margin_grad_gnn(gnn_weights: list[np.ndarray], head, x: np.ndarray,
     for l in reversed(range(len(gnn_weights))):
         dq = dh * (qs[l] > 0)
         dm = dq @ gnn_weights[l].T
-        dp += dm @ hs[l].transpose(0, 2, 1)
+        dp += dm @ np.swapaxes(hs[l], -1, -2)
         if l > 0:  # nothing reads the adjoint of the input features
             dh = dm + np.transpose(p, (0, 2, 1)) @ dm
 
@@ -213,7 +190,7 @@ def _margin_grad_degree_mlp(weights: dict, x: np.ndarray,
     """MLP over [mean feature row, mean normalized degree]; adjacency enters
     only through the degree summary."""
     B, n, _ = a_batch.shape
-    s, deg, live, r, p, at = _relaxed_propagation(a_batch)
+    s, deg, live, r, p, at = M.relaxed_propagation(a_batch)
     norm = max(n * (n - 1), 1)
     phi = np.concatenate([
         np.broadcast_to(x.mean(axis=0), (B, x.shape[1])),
@@ -257,10 +234,20 @@ class SurrogateVictim:
         surrogate.validate()
         self.surrogate = surrogate
 
+    def margin(self, graph: FeatureGraph) -> float:
+        """Benign-minus-malicious margin of the graph, forward only."""
+        w = self.surrogate.weights
+        if self.surrogate.architecture == "gnn2_mlp":
+            hs, _ = M.gnn_layers(M.propagation_terms(graph), graph.features,
+                                 [w["enc.0"], w["enc.1"]])
+            g = hs[-1].mean(axis=0)
+        else:
+            g = _degree_summary(graph)
+        u = w["head.1"][:, 0] - w["head.1"][:, 1]  # margin = logit_benign - logit_malicious
+        return float(np.maximum(g @ w["head.0"], 0.0) @ u)
+
     def label(self, graph: FeatureGraph) -> int:
-        f, _ = self.margin_grad_batched(graph.features,
-                                        dense_adjacency(graph)[None])
-        return 1 if f[0] <= 0.0 else 0  # tie goes malicious, as in predict
+        return 1 if self.margin(graph) <= 0.0 else 0  # tie goes malicious, as in predict
 
     def margin_grad_batched(self, features: np.ndarray,
                             a_batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -321,7 +308,7 @@ def edge_saliency_ig(victim, graph: FeatureGraph,
     cands = candidate_edges(graph, symmetric)
     if not cands:
         raise NoCandidateEdges(f"graph {graph.graph_id} has no candidate edges left")
-    base = dense_adjacency(graph)
+    base = M.adjacency(graph)
     n = graph.node_count
 
     src, dst = np.array(cands, dtype=np.intp).T
@@ -428,7 +415,7 @@ def blackbox_attack(victim_label_fn, surrogate, graph: FeatureGraph,
 
 
 def _degree_summary(graph: FeatureGraph) -> np.ndarray:
-    a = dense_adjacency(graph)
+    a = M.adjacency(graph)
     s = np.maximum(a, a.T)
     n = graph.node_count
     norm = max(n * (n - 1), 1)

@@ -350,24 +350,13 @@ def tile_rows(v: Tensor, k: int) -> Tensor:
                        lambda g: ((v.tid, g.sum(axis=0)),))
 
 
-def edge_aggregate(x: Tensor, src: np.ndarray, dst: np.ndarray, coef: np.ndarray) -> Tensor:
-    """Weighted neighbor sum over an edge list: out[dst_e] += coef_e * x[src_e]."""
-    if x.value.ndim != 2:
-        raise ValueError("edge_aggregate requires a rank-2 input")
-    src = np.asarray(src, dtype=np.intp)
-    dst = np.asarray(dst, dtype=np.intp)
-    coef = np.asarray(coef, dtype=np.float64)
-    out = np.zeros_like(x.value)
-    if src.size:
-        np.add.at(out, dst, x.value[src] * coef[:, None])
-
-    def bwd(g):
-        gx = np.zeros_like(x.value)
-        if src.size:
-            np.add.at(gx, src, g[dst] * coef[:, None])
-        return ((x.tid, gx),)
-
-    return x.tape.emit("edge_aggregate", (x,), out, bwd)
+def edge_aggregate(x: Tensor, p: np.ndarray) -> Tensor:
+    """Neighbour sum through a constant (n, n) propagation matrix: p @ x."""
+    if x.value.ndim != 2 or p.shape != (x.value.shape[0],) * 2:
+        raise ValueError(f"edge_aggregate: {p.shape} matrix for {x.value.shape} rows")
+    with np.errstate(over="ignore", invalid="ignore"):  # blowups become NonFiniteError
+        out = p @ x.value
+    return x.tape.emit("edge_aggregate", (x,), out, lambda g: ((x.tid, p.T @ g),))
 
 
 @dataclass

@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 runtime failure, 2 invalid input.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -99,28 +100,37 @@ ATTACK_FIELDS = {
 }
 
 
-def parse_config(path, fields: dict) -> dict:
-    """Flat key=value file with # comments; unknown or missing keys are errors."""
+def read_config(path) -> str:
+    """The text of a config file, read once: a pipe or FIFO cannot be reread."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read config: {exc}") from exc
+
+
+def parse_config(path, fields: dict, text: str) -> dict:
+    """Flat key=value file with # comments, `text` read from `path` by
+    `read_config`; unknown or missing keys are errors."""
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, raw = (part.strip() for part in line.split("=", 1))
-            if key not in fields:
-                raise ConfigError(f"{path}:{lineno}: unknown field {key!r}")
-            if key in values:
-                raise ConfigError(f"{path}:{lineno}: duplicate field {key!r}")
-            parse, _ = fields[key]
-            try:
-                values[key] = parse(raw)
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: field {key!r}: {exc}") from exc
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, raw = (part.strip() for part in line.split("=", 1))
+        if key not in fields:
+            raise ConfigError(f"{path}:{lineno}: unknown field {key!r}")
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: duplicate field {key!r}")
+        parse, _ = fields[key]
+        try:
+            values[key] = parse(raw)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: field {key!r}: {exc}") from exc
     for key, (_, default) in fields.items():
         if key not in values:
             if default is REQUIRED:
@@ -237,11 +247,6 @@ def replay_manifest(manifest_path, work_dir) -> dict:
 
 # ------------------------------------------------------------------ helpers
 
-def _read_text(path) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
 def _load_graphs(path):
     try:
         graphs, schema = load_dataset(path)
@@ -279,6 +284,17 @@ def _load_split(path, name: str) -> list[str]:
     return ids
 
 
+@contextlib.contextmanager
+def _finite_forward(checkpoint_path):
+    """A forward that overflows means the checkpoint's weights are unusable:
+    report it as bad input that names the checkpoint (and, from the
+    NonFiniteError, the graph)."""
+    try:
+        yield
+    except ad.NonFiniteError as exc:
+        raise ConfigError(f"{checkpoint_path}: weights overflow: {exc}") from exc
+
+
 def _check_schema(params: M.ModelParams, graphs, checkpoint_path, dataset_path):
     if not graphs:
         raise ConfigError(f"{dataset_path}: dataset is empty")
@@ -307,8 +323,8 @@ def _write_csv(path, header: list[str], rows: list[list],
 # ------------------------------------------------------------------ commands
 
 def cmd_gen_data(args) -> None:
-    config_text = _read_text(args.config) if os.path.exists(args.config) else None
-    values = parse_config(args.config, GEN_FIELDS)
+    config_text = read_config(args.config)
+    values = parse_config(args.config, GEN_FIELDS, config_text)
     try:
         schema = FeatureSchema(values["opcode_dim"], values["permission_dim"])
         cfg = SyntheticConfig(
@@ -344,8 +360,8 @@ def _split_parts(graphs, split_ids):
 
 
 def cmd_train(args) -> None:
-    config_text = _read_text(args.config) if os.path.exists(args.config) else None
-    values = parse_config(args.config, TRAIN_FIELDS)
+    config_text = read_config(args.config)
+    values = parse_config(args.config, TRAIN_FIELDS, config_text)
     if args.variant:
         values["variant"] = args.variant
     graphs, _schema = _load_graphs(args.dataset)
@@ -424,7 +440,8 @@ def cmd_eval(args) -> None:
         raise ConfigError("no graphs selected for evaluation")
 
     tic = time.perf_counter()
-    m = T.evaluate(params, graphs)
+    with _finite_forward(args.checkpoint):
+        m = T.evaluate(params, graphs)
     _write_csv(args.out,
                ["precision", "recall", "f1", "accuracy", "tp", "fp", "tn", "fn"],
                [[_fmt(m.precision), _fmt(m.recall), _fmt(m.f1), _fmt(m.accuracy),
@@ -441,8 +458,8 @@ def cmd_eval(args) -> None:
 
 
 def cmd_attack(args) -> None:
-    config_text = _read_text(args.config) if os.path.exists(args.config) else None
-    values = parse_config(args.config, ATTACK_FIELDS)
+    config_text = read_config(args.config)
+    values = parse_config(args.config, ATTACK_FIELDS, config_text)
     params, _meta = _load_checkpoint(args.checkpoint)
     graphs, _schema = _load_graphs(args.dataset)
     _check_schema(params, graphs, args.checkpoint, args.dataset)
@@ -458,7 +475,8 @@ def cmd_attack(args) -> None:
                           f"(one of {AT.ARCHITECTURES})")
 
     victim = AT.DetectorVictim(params)
-    population = [g for g in graphs if g.label == 1 and victim.label(g) == 1]
+    with _finite_forward(args.checkpoint):
+        population = [g for g in graphs if g.label == 1 and victim.label(g) == 1]
 
     tic = time.perf_counter()
     agreement = None
@@ -523,11 +541,12 @@ def cmd_export_embeddings(args) -> None:
     tic = time.perf_counter()
     h = params.hidden_dim
     rows = []
-    for g in graphs:
-        emb = M.graph_embedding(g, params)
-        s0, s1 = M.embedding_scores(emb, params)
-        rows.append([g.graph_id, g.label] + [_fmt(v) for v in emb]
-                    + [_fmt(s0), _fmt(s1)])
+    with _finite_forward(args.checkpoint):
+        for g in graphs:
+            emb = M.graph_embedding(g, params)
+            s0, s1 = M.embedding_scores(emb, params)
+            rows.append([g.graph_id, g.label] + [_fmt(v) for v in emb]
+                        + [_fmt(s0), _fmt(s1)])
     header = ["graph_id", "label"] + [f"g_{i + 1}" for i in range(h)] \
         + ["cos_p0", "cos_p1"]
     _write_csv(args.out, header, rows)

@@ -198,6 +198,8 @@ def load_dataset(path) -> tuple[list[FeatureGraph], FeatureSchema]:
         header = json.loads(raw[0])
     except json.JSONDecodeError as exc:
         fail(1, f"header is not valid JSON ({exc.msg})")
+    except RecursionError:
+        fail(1, "header is nested too deeply")
     if not isinstance(header, dict) or "opcode_dim" not in header or "permission_dim" not in header:
         fail(1, "header must carry opcode_dim and permission_dim")
     try:
@@ -211,6 +213,8 @@ def load_dataset(path) -> tuple[list[FeatureGraph], FeatureSchema]:
             rec = json.loads(line)
         except json.JSONDecodeError as exc:
             fail(lineno, f"record is not valid JSON ({exc.msg})")
+        except RecursionError:
+            fail(lineno, "record is nested too deeply")
         if not isinstance(rec, dict):
             fail(lineno, "record must be an object")
         missing = {"id", "label", "n", "edges", "x"} - rec.keys()

@@ -1,10 +1,13 @@
 """The detector: node masking, GNN encoder/decoder, readout, proxy inference.
 
-Forward passes are built from tape ops so training gradients flow; inference
-uses the same code path with constant tensors. Propagation follows the
-symmetric-normalized rule: a node's new state is (own state + sum of neighbor
-states / sqrt(deg_u * deg_v)) times the layer weight, through ReLU.
-Neighborhoods are taken on the symmetrized edge set.
+Propagation follows the symmetric-normalized rule: a node's new state is
+(own state + sum of neighbor states / sqrt(deg_u * deg_v)) times the layer
+weight, through ReLU. Neighborhoods are taken on the symmetrized edge set.
+One normalization (`relaxed_propagation`) gives the dense (n, n) matrix P
+that training, inference and the attack all propagate through; at 0/1
+adjacency it is `propagation_terms`. Training runs the layers on a tape
+(`_gnn_forward`); inference and the attack run the same layers in plain
+numpy (`gnn_layers`).
 """
 from __future__ import annotations
 
@@ -22,6 +25,7 @@ from .graphdata import FeatureGraph, FeatureSchema, canonical_json
 
 CHECKPOINT_FORMAT = "graphsentry-checkpoint"
 CHECKPOINT_VERSION = 1
+DEG_EPS = 1e-12  # degree below which a node counts as isolated
 
 # Forward-pass instrumentation, used to verify which training variants touch
 # the masking and reconstruction machinery at all.
@@ -189,32 +193,55 @@ def remask(embeddings: ad.Tensor, plan: MaskPlan) -> ad.Tensor:
     return ad.scatter_rows(embeddings, list(plan.masked), zeros)
 
 
-def propagation_terms(graph: FeatureGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Symmetrized edge list, sorted by (src, dst), plus 1/sqrt(deg_u*deg_v)
-    coefficients. Each pair (s, t) is keyed s*n+t, so sorting the keys sorts
-    the pairs; `edge_aggregate` sums a node's neighbours in this order."""
-    n = graph.node_count
+def adjacency(graph: FeatureGraph) -> np.ndarray:
+    """Directed 0/1 adjacency matrix: entry (s, t) is 1 for each edge (s, t)."""
     flat = np.fromiter(chain.from_iterable(graph.edges), dtype=np.intp,
                        count=2 * len(graph.edges))
-    s, t = flat[0::2], flat[1::2]
-    keys = np.concatenate((s * n + t, t * n + s))
-    keys.sort()
-    first = np.empty(keys.size, dtype=bool)  # first of each run of equal keys
-    first[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    src, dst = np.divmod(keys[first], n)
-    deg = np.bincount(dst, minlength=n).astype(np.float64)
-    coef = 1.0 / np.sqrt(deg[src] * deg[dst])
-    return src, dst, coef
+    a = np.zeros((graph.node_count, graph.node_count))
+    a[flat[0::2], flat[1::2]] = 1.0
+    return a
 
 
-def _gnn_forward(features: ad.Tensor, terms, weights: list[ad.Tensor],
+def relaxed_propagation(a: np.ndarray):
+    """Smooth symmetrization S = A + A^T - A*A^T and normalization
+    P = D^-1/2 S D^-1/2 of an (..., n, n) adjacency with entries in [0, 1],
+    where D holds the row sums of S. At 0/1 entries S is the symmetrized edge
+    set, and a node of degree 0 gets a zero row and column of P.
+
+    Returns (S, deg, live, r, P, A^T), with live = deg > DEG_EPS and
+    r = 1/sqrt(max(deg, DEG_EPS)), which the attack's backward reads."""
+    at = np.swapaxes(a, -1, -2)
+    s = a + at - a * at
+    deg = s.sum(axis=-1)
+    live = deg > DEG_EPS
+    r = 1.0 / np.sqrt(np.maximum(deg, DEG_EPS))
+    p = s * r[..., :, None] * r[..., None, :]
+    return s, deg, live, r, p, at
+
+
+def propagation_terms(graph: FeatureGraph) -> np.ndarray:
+    """The dense (n, n) propagation matrix P of the graph's 0/1 adjacency."""
+    return relaxed_propagation(adjacency(graph))[4]
+
+
+def gnn_layers(p: np.ndarray, x: np.ndarray, weights: list[np.ndarray]):
+    """The GCN layer stack without a tape: h_{l+1} = relu((h_l + P h_l) W_l)
+    from h_0 = x. P may carry a leading batch axis, which the rows follow.
+    Returns (hs, qs): the L+1 layer inputs/outputs and the L pre-activations."""
+    hs, qs = [x], []
+    for w in weights:
+        q = (hs[-1] + p @ hs[-1]) @ w
+        qs.append(q)
+        hs.append(np.maximum(q, 0.0))
+    return hs, qs
+
+
+def _gnn_forward(features: ad.Tensor, p: np.ndarray, weights: list[ad.Tensor],
                  final_linear: bool) -> ad.Tensor:
-    src, dst, coef = terms
+    """`gnn_layers` on a tape, for training; the last layer may stay linear."""
     h = features
     for i, w in enumerate(weights):
-        agg = ad.add(h, ad.edge_aggregate(h, src, dst, coef))
-        z = ad.matmul(agg, w)
+        z = ad.matmul(ad.add(h, ad.edge_aggregate(h, p)), w)
         h = z if (final_linear and i == len(weights) - 1) else ad.relu(z)
     return h
 
@@ -280,14 +307,24 @@ def head_logits(g: ad.Tensor, head_weights: list[ad.Tensor]) -> ad.Tensor:
 
 
 def graph_embedding(graph: FeatureGraph, params: ModelParams) -> np.ndarray:
-    """Unmasked encode + readout, no gradients. Only the encoder weights
-    are placed on the tape; nothing else is read."""
+    """Unmasked encode + readout by `gnn_layers`, without a tape. Raises
+    NonFiniteError naming the graph when a layer's pre-activation or the
+    embedding's norm is not finite; each layer is checked because a ReLU can
+    turn an intermediate -inf into 0."""
     if graph.node_count < 1:
         raise ValueError(f"graph {graph.graph_id} is empty")
-    tape = ad.Tape()
-    weights = [tape.constant(w) for w in params.encoder_weights]
-    g = readout(encode(graph, tape.constant(graph.features), weights))
-    return g.value
+    with np.errstate(over="ignore", invalid="ignore"):
+        hs, qs = gnn_layers(propagation_terms(graph), graph.features,
+                            params.encoder_weights)
+        g = hs[-1].mean(axis=0)
+        norm = np.linalg.norm(g)
+    for i, q in enumerate(qs):
+        if not np.all(np.isfinite(q)):
+            raise ad.NonFiniteError(f"graph {graph.graph_id}: encoder layer {i} "
+                                    f"output is not finite")
+    if not np.isfinite(norm):
+        raise ad.NonFiniteError(f"graph {graph.graph_id}: embedding norm overflows")
+    return g
 
 
 def embedding_scores(g: np.ndarray, params: ModelParams) -> tuple[float, float]:

@@ -1,4 +1,4 @@
-"""Joint optimization loop, ablation variants, metrics, and grid search.
+"""Joint optimization loop, ablation variants and metrics.
 
 Per epoch the train set is reshuffled, fresh mask plans are drawn per graph,
 and each batch accumulates per-graph tape gradients before one optimizer
@@ -15,10 +15,9 @@ the decision boundary.
 """
 from __future__ import annotations
 
-import itertools
 import time
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -271,49 +270,3 @@ def evaluate(params: M.ModelParams, graphs: list[FeatureGraph]) -> Metrics:
         else:
             tn, fp = (tn + 1, fp) if pred == 0 else (tn, fp + 1)
     return Metrics.from_counts(tp, fp, tn, fn)
-
-
-@dataclass(frozen=True)
-class LeaderboardRow:
-    index: int
-    settings: dict
-    val_f1: float
-    stopping_epoch: int
-
-
-def grid_search(space: dict[str, list], train_graphs: list[FeatureGraph],
-                val_graphs: list[FeatureGraph], base_config: TrainConfig,
-                budget: int | None = None) -> tuple[TrainConfig, list[LeaderboardRow]]:
-    """Exhaustive (or budget-truncated) sweep over TrainConfig field values.
-
-    Combinations enumerate in the declared key/value order. Rows are ranked by
-    val F1; ties break toward the lower config index. Every run reuses the base
-    config's seed, so the winner retrains to the same score.
-    """
-    if not space:
-        raise ValueError("empty search space")
-    for key in space:
-        if not hasattr(base_config, key):
-            raise ValueError(f"unknown hyperparameter {key!r}")
-        if not space[key]:
-            raise ValueError(f"no values given for {key!r}")
-    if budget is not None and budget < 1:
-        raise ValueError("budget must be at least 1")
-
-    keys = list(space)
-    combos = list(itertools.product(*(space[k] for k in keys)))
-    if budget is not None:
-        combos = combos[:budget]
-
-    rows = []
-    configs = []
-    for idx, combo in enumerate(combos):
-        settings = dict(zip(keys, combo))
-        cfg = replace(base_config, **settings)
-        _, rep = train(train_graphs, val_graphs, cfg)
-        rows.append(LeaderboardRow(index=idx, settings=settings,
-                                   val_f1=rep.best_val_f1,
-                                   stopping_epoch=rep.stopping_epoch))
-        configs.append(cfg)
-    ranked = sorted(rows, key=lambda r: (-r.val_f1, r.index))
-    return configs[ranked[0].index], ranked

@@ -100,7 +100,7 @@ def test_relaxed_margin_at_binary_adjacency_matches_predict(head):
         g = rand_graph(6, seed)
         params = rand_params(seed, head=head)
         victim = AT.DetectorVictim(params)
-        f, _ = victim.margin_grad_batched(g.features, AT.dense_adjacency(g)[None])
+        f, _ = victim.margin_grad_batched(g.features, M.adjacency(g)[None])
         _, s0, s1 = M.predict(g, params)
         assert f[0] == pytest.approx(s0 - s1, abs=1e-12), seed
 
@@ -113,7 +113,7 @@ def test_relaxed_margin_matches_predict_at_any_depth(layers):
     for head in (False, True):
         params = rand_params(layers, head=head, layers=layers)
         f, _ = AT.DetectorVictim(params).margin_grad_batched(
-            g.features, AT.dense_adjacency(g)[None])
+            g.features, M.adjacency(g)[None])
         _, s0, s1 = M.predict(g, params)
         assert f[0] == pytest.approx(s0 - s1, abs=1e-12), head
 
@@ -122,12 +122,32 @@ def test_surrogate_gnn_margin_matches_tape_forward():
     g = rand_graph(5, 3)
     sp = AT._init_surrogate("gnn2_mlp", D, 8, rng_seed=0)
     victim = AT.SurrogateVictim(sp)
-    f, _ = victim.margin_grad_batched(g.features, AT.dense_adjacency(g)[None])
+    f, _ = victim.margin_grad_batched(g.features, M.adjacency(g)[None])
     tape = ad.Tape()
     enc = [tape.constant(sp.weights["enc.0"]), tape.constant(sp.weights["enc.1"])]
     head = [tape.constant(sp.weights["head.0"]), tape.constant(sp.weights["head.1"])]
     logits = M.head_logits(M.readout(M.encode(g, tape.constant(g.features), enc)), head)
     assert f[0] == pytest.approx(float(logits.value[0] - logits.value[1]), abs=1e-12)
+
+
+@pytest.mark.parametrize("arch", AT.ARCHITECTURES)
+def test_surrogate_label_is_the_sign_of_the_relaxed_margin(arch):
+    """The forward-only label and margin agree with the relaxed pass at the
+    graph's own 0/1 adjacency, on graphs with isolated nodes and without edges."""
+    sp = AT._init_surrogate(arch, D, 8, rng_seed=3)
+    flipped = AT.SurrogateParams(arch, {**sp.weights, "head.1": sp.weights["head.1"][:, ::-1]})
+    graphs = [rand_graph(n, seed, p=0.12) for seed, n in enumerate([2, 3, 5, 8, 12] * 4)]
+    graphs.append(FeatureGraph(6, [], rand_graph(6, 99).features, 1, "edgeless"))
+    degrees = [M.adjacency(g).sum(axis=0) + M.adjacency(g).sum(axis=1) for g in graphs[:-1]]
+    assert any(np.any(deg == 0) for deg in degrees)
+    labels = set()
+    for victim in (AT.SurrogateVictim(sp), AT.SurrogateVictim(flipped)):
+        for g in graphs:
+            f, _ = victim.margin_grad_batched(g.features, M.adjacency(g)[None])
+            assert victim.label(g) == (1 if f[0] <= 0 else 0), g.graph_id
+            assert victim.margin(g) == pytest.approx(f[0], abs=1e-12), g.graph_id
+            labels.add(victim.label(g))
+    assert labels == {0, 1}
 
 
 def fd_adjacency_grad(victim, features, a, step=1e-6):
@@ -201,7 +221,7 @@ def test_ig_matches_fine_trapezoid_quadrature():
     g = rand_graph(8, 21, p=0.25)
     victim = AT.DetectorVictim(rand_params(22))
     scores = AT.edge_saliency_ig(victim, g, ig_steps=200)
-    base = AT.dense_adjacency(g)
+    base = M.adjacency(g)
     # check the 4 strongest candidates against an fd-gradient trapezoid integral
     top = sorted(scores, key=lambda e: -abs(scores[e]))[:4]
     alphas = np.linspace(0.0, 1.0, 2001)
@@ -489,7 +509,7 @@ def test_surrogate_gradient_shapes():
     for arch in AT.ARCHITECTURES:
         sp = AT._init_surrogate(arch, D, 8, 0)
         f, da = AT.SurrogateVictim(sp).margin_grad_batched(
-            g.features, np.tile(AT.dense_adjacency(g), (3, 1, 1)))
+            g.features, np.tile(M.adjacency(g), (3, 1, 1)))
         assert f.shape == (3,) and da.shape == (3, 5, 5)
 
 

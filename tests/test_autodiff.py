@@ -165,27 +165,28 @@ def test_op_gradient_matches_finite_differences(name):
 
 def test_edge_aggregate_forward_and_gradient():
     x = np.arange(12.0).reshape(4, 3)
-    src = np.array([0, 2, 2])
-    dst = np.array([1, 1, 3])
-    coef = np.array([0.5, 2.0, 1.0])
+    p = np.zeros((4, 4))
+    p[1, 0], p[1, 2], p[3, 2] = 0.5, 2.0, 1.0
     tape = ad.Tape()
     tx = tape.param(x)
-    out = ad.edge_aggregate(tx, src, dst, coef)
+    out = ad.edge_aggregate(tx, p)
     expect = np.zeros_like(x)
     expect[1] = 0.5 * x[0] + 2.0 * x[2]
     expect[3] = x[2]
     np.testing.assert_allclose(out.value, expect, atol=0)
 
     def build(tape, ts):
-        return ad.sum_all(ad.square(ad.edge_aggregate(ts[0], src, dst, coef)))
+        return ad.sum_all(ad.square(ad.edge_aggregate(ts[0], p)))
     rep = ad.finite_difference_check(make_closure(build, None), [x], tolerance=1e-5)
     assert rep.passed, str(rep)
+    with pytest.raises(ValueError):
+        ad.edge_aggregate(tx, np.zeros((3, 3)))
 
 
 def test_edge_aggregate_no_edges_is_zero():
     tape = ad.Tape()
     tx = tape.param(np.ones((3, 2)))
-    out = ad.edge_aggregate(tx, np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))
+    out = ad.edge_aggregate(tx, np.zeros((3, 3)))
     np.testing.assert_array_equal(out.value, np.zeros((3, 2)))
     grads = ad.backward(tape, ad.sum_all(out))
     np.testing.assert_array_equal(grads[tx.tid], np.zeros((3, 2)))

@@ -5,11 +5,10 @@ deleted, values replaced by values of other types, strings and lists cut
 short, base64 characters changed), written out and used to score a small
 dataset with `eval` and `export-embeddings`. Every mutation must end in exit
 code 0 (the file is still a valid checkpoint) or 2 (invalid input, with a
-message naming the file), never in an escaped exception. One more outcome is
-legitimate: a changed base64 character can give a weight a huge but finite
-exponent, so the file is well formed but the forward pass overflows; that is
-reported as a runtime failure (exit 1, "failure: ... non-finite ..."), as a
-diverging training run is.
+message naming the file), never in an escaped exception. That includes a
+changed base64 character that gives a weight a huge but finite exponent: the
+file is well formed, but the forward pass overflows, and since the features
+are 0/1 only the weights can make it do so.
 """
 import contextlib
 import copy
@@ -120,8 +119,6 @@ def test_mutated_checkpoint_exits_cleanly(fuzz_files, mutations):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = cli.main(argv)
         msg = err.getvalue()
-        assert code in (0, 1, 2), (argv[0], code, msg)
+        assert code in (0, 2), (argv[0], code, msg)
         if code == 2:
             assert msg.startswith(f"error: {ckpt}: "), msg
-        if code == 1:
-            assert msg.startswith("failure: ") and "non-finite" in msg, msg

@@ -3,6 +3,7 @@ determinism, manifest replay, and agreement between CSV contents and the
 library calls they wrap."""
 import json
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -63,7 +64,7 @@ def read_csv(path):
 
 def test_parse_config_fills_defaults(tmp_path):
     path = write_cfg(tmp_path / "a.cfg", gamma=0.5)
-    values = cli.parse_config(path, cli.TRAIN_FIELDS)
+    values = cli.parse_config(path, cli.TRAIN_FIELDS, cli.read_config(path))
     assert values["gamma"] == 0.5
     assert values["hidden"] == 128 and values["variant"] == "full"
 
@@ -71,29 +72,29 @@ def test_parse_config_fills_defaults(tmp_path):
 def test_parse_config_rejects_unknown_field(tmp_path):
     path = write_cfg(tmp_path / "a.cfg", gamma=0.5, bogus=1)
     with pytest.raises(cli.ConfigError, match="bogus"):
-        cli.parse_config(path, cli.TRAIN_FIELDS)
+        cli.parse_config(path, cli.TRAIN_FIELDS, cli.read_config(path))
 
 
 def test_parse_config_rejects_bad_type(tmp_path):
     path = write_cfg(tmp_path / "a.cfg", hidden="wide")
     with pytest.raises(cli.ConfigError, match="'hidden'"):
-        cli.parse_config(path, cli.TRAIN_FIELDS)
+        cli.parse_config(path, cli.TRAIN_FIELDS, cli.read_config(path))
 
 
 def test_parse_config_rejects_duplicate_and_malformed(tmp_path):
     path = tmp_path / "a.cfg"
     path.write_text("gamma=0.5\ngamma=0.6\n")
     with pytest.raises(cli.ConfigError, match="duplicate"):
-        cli.parse_config(str(path), cli.TRAIN_FIELDS)
+        cli.parse_config(str(path), cli.TRAIN_FIELDS, cli.read_config(str(path)))
     path.write_text("gamma 0.5\n")
     with pytest.raises(cli.ConfigError, match="key=value"):
-        cli.parse_config(str(path), cli.TRAIN_FIELDS)
+        cli.parse_config(str(path), cli.TRAIN_FIELDS, cli.read_config(str(path)))
 
 
 def test_parse_config_missing_required(tmp_path):
     path = write_cfg(tmp_path / "a.cfg", n_graphs=5)
     with pytest.raises(cli.ConfigError, match="missing required field"):
-        cli.parse_config(path, cli.GEN_FIELDS)
+        cli.parse_config(path, cli.GEN_FIELDS, cli.read_config(path))
 
 
 # ------------------------------------------------------------------ gen-data
@@ -123,6 +124,35 @@ def test_gen_data_unknown_field_exit_2(tmp_path, capsys):
 def test_gen_data_missing_config_exit_2(tmp_path):
     assert cli.main(["gen-data", str(tmp_path / "none.cfg"),
                      str(tmp_path / "d.jsonl")]) == 2
+
+
+def test_gen_data_reads_a_fifo_config_once(tmp_path):
+    """A config that can be read only once (a pipe, /dev/stdin) is parsed
+    from the same read that the manifest records."""
+    fifo = str(tmp_path / "gen.fifo")
+    os.mkfifo(fifo)
+    text = "".join(f"{k}={v}\n" for k, v in GEN_KV.items())
+
+    done = threading.Event()
+
+    def feed():
+        with open(fifo, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        while not done.is_set():  # a second open of the FIFO reads EOF, not hangs
+            try:
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            except OSError:  # no reader has it open
+                done.wait(0.01)
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    out = str(tmp_path / "d.jsonl")
+    try:
+        assert cli.main(["gen-data", fifo, out]) == 0
+    finally:
+        done.set()
+        writer.join(timeout=10)
+    assert len(load_dataset(out)[0]) == GEN_KV["n_graphs"]
+    assert cli.load_manifest(out + ".manifest.json")["config_text"] == text
 
 
 def test_gen_data_rerun_is_byte_identical(workspace, tmp_path):
@@ -304,6 +334,43 @@ def test_eval_malformed_record_field_exit_2(workspace, tmp_path, capsys, field, 
     assert cli.main(["eval", workspace["checkpoint"], str(path),
                      "--out", str(tmp_path / "m.csv")]) == 2
     assert f"{path}:2: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", [1, 2])
+def test_deeply_nested_dataset_line_exit_2_naming_it(workspace, tmp_path, capsys, line):
+    with open(workspace["dataset"], "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    lines[line - 1] = "[" * 100_000 + "]" * 100_000
+    path = tmp_path / "deep.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    assert cli.main(["eval", workspace["checkpoint"], str(path),
+                     "--out", str(tmp_path / "m.csv")]) == 2
+    assert f"{path}:{line}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("layers,scale", [((0, 1), 1e200), ((0,), 1e300)])
+@pytest.mark.parametrize("command", ["eval", "export-embeddings", "attack"])
+def test_overflowing_checkpoint_exit_2_naming_it_and_the_graph(
+        workspace, tmp_path, capsys, command, layers, scale):
+    """Weights that are finite but overflow the forward: at 1e200 a layer's
+    output is infinite; at 1e300 only the embedding's norm overflows, which
+    would otherwise zero both cosines and call every graph malicious."""
+    params, meta = M.load_checkpoint(workspace["checkpoint"])
+    for i in layers:
+        params.encoder_weights[i] *= scale
+    ckpt = str(tmp_path / "huge.json")
+    M.save_checkpoint(ckpt, params, meta)
+    out = str(tmp_path / "out.csv")
+    argv = {"eval": ["eval", ckpt, workspace["dataset"], "--out", out],
+            "export-embeddings": ["export-embeddings", ckpt, workspace["dataset"], out],
+            "attack": ["attack", ckpt, workspace["dataset"],
+                       write_cfg(tmp_path / "atk.cfg", **ATTACK_KV),
+                       "--mode", "whitebox", "--out", out]}
+    assert cli.main(argv[command]) == 2
+    err = capsys.readouterr().err
+    ids = {g.graph_id for g in load_dataset(workspace["dataset"])[0]}
+    assert err.startswith(f"error: {ckpt}: ")
+    assert any(f"graph {gid}:" in err for gid in ids), err
 
 
 def test_eval_missing_checkpoint_exit_2(workspace, tmp_path):

@@ -1,5 +1,5 @@
-"""Training-loop tests: optimizer oracle, early-stop semantics, determinism,
-variant wiring, and the grid-search leaderboard contract."""
+"""Training-loop tests: optimizer oracle, early-stop semantics, determinism
+and variant wiring."""
 import numpy as np
 import pytest
 
@@ -242,42 +242,3 @@ def test_minus_cr_trains_with_zero_masking_instrumentation():
     graphs = toy_dataset(3)
     _, report = T.train(graphs, graphs, small_config(max_epochs=3, variant="minus_cr"))
     assert report.counter_delta == {"mask_samples": 0, "decoder_passes": 0}
-
-
-# ------------------------------------------------------------------ grid search
-
-def test_grid_search_enumerates_and_ranks():
-    graphs = toy_dataset(3)
-    space = {"learning_rate": [0.01, 0.003], "gamma": [0.3, 0.6]}
-    best, rows = T.grid_search(space, graphs, graphs,
-                               small_config(max_epochs=2), budget=None)
-    assert len(rows) == 4
-    assert [r.val_f1 for r in rows] == sorted((r.val_f1 for r in rows), reverse=True)
-    assert best.learning_rate == rows[0].settings["learning_rate"]
-    assert best.gamma == rows[0].settings["gamma"]
-
-
-def test_grid_search_tie_breaks_to_lower_index():
-    graphs = toy_dataset(2)
-    space = {"learning_rate": [0.01, 0.01]}  # identical configs force a tie
-    _, rows = T.grid_search(space, graphs, graphs, small_config(max_epochs=2))
-    assert rows[0].val_f1 == rows[1].val_f1
-    assert rows[0].index == 0
-
-
-def test_grid_search_budget_truncates_in_declared_order():
-    graphs = toy_dataset(2)
-    space = {"gamma": [0.2, 0.4, 0.6]}
-    _, rows = T.grid_search(space, graphs, graphs, small_config(max_epochs=1),
-                            budget=2)
-    assert sorted(r.settings["gamma"] for r in rows) == [0.2, 0.4]
-    with pytest.raises(ValueError):
-        T.grid_search(space, graphs, graphs, small_config(), budget=0)
-
-
-def test_grid_search_winner_reproduces_its_score():
-    graphs = toy_dataset(3)
-    space = {"learning_rate": [0.02, 0.005]}
-    best, rows = T.grid_search(space, graphs, graphs, small_config(max_epochs=3))
-    _, rerun = T.train(graphs, graphs, best)
-    assert rerun.best_val_f1 == rows[0].val_f1
