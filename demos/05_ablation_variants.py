@@ -5,8 +5,9 @@ minus_c   reconstruction kept, contrastive module swapped for an MLP head
 minus_r   masking/reconstruction disabled, proxy contrast kept
 minus_cr  plain GCN + MLP head, no masking at all
 
-Op counters make the ablation wiring observable: minus_cr must execute zero
-mask samples and zero decoder passes.
+Each run counts its mask samples and decoder passes from its own tapes
+(`report.counter_delta`), which makes the ablation wiring observable:
+minus_cr must execute zero of either.
 """
 import time
 

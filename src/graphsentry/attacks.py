@@ -29,7 +29,7 @@ from . import autodiff as ad
 from . import model as M
 from .graphdata import FeatureGraph
 from .losses import cross_entropy_logits
-from .training import Adam
+from .training import Adam, minibatch_epoch
 
 # Rows per margin_grad_batched call. At desk sizes (n <= 19, hidden 32) one
 # (B,n,h) float64 array of a chunk is at most 0.3 MB, so an op's operands fit
@@ -51,7 +51,6 @@ class AttackConfig:
     max_iterations: int = 100
     ig_steps: int = 20
     edges_per_iteration: int = 1
-    candidate_policy: str = "any_missing_edge"
     rng_seed: int = 0
 
     def validate(self) -> None:
@@ -61,8 +60,6 @@ class AttackConfig:
             raise ValueError("ig_steps must be at least 1")
         if self.edges_per_iteration < 1:
             raise ValueError("edges_per_iteration must be at least 1")
-        if self.candidate_policy != "any_missing_edge":
-            raise ValueError(f"unknown candidate policy {self.candidate_policy!r}")
 
 
 @dataclass
@@ -425,19 +422,15 @@ def _degree_summary(graph: FeatureGraph) -> np.ndarray:
 
 def _init_surrogate(architecture: str, d: int, hidden: int,
                     rng_seed: int) -> SurrogateParams:
-    rng = np.random.default_rng(rng_seed)
-
-    def glorot(fi, fo):
-        a = np.sqrt(6.0 / (fi + fo))
-        return rng.uniform(-a, a, size=(fi, fo))
-
     if architecture == "gnn2_mlp":
-        weights = {"enc.0": glorot(d, hidden), "enc.1": glorot(hidden, hidden),
-                   "head.0": glorot(hidden, hidden), "head.1": glorot(hidden, 2)}
+        shapes = {"enc.0": (d, hidden), "enc.1": (hidden, hidden),
+                  "head.0": (hidden, hidden), "head.1": (hidden, 2)}
     elif architecture == "mlp_on_degree_features":
-        weights = {"head.0": glorot(d + 1, hidden), "head.1": glorot(hidden, 2)}
+        shapes = {"head.0": (d + 1, hidden), "head.1": (hidden, 2)}
     else:
         raise ValueError(f"unknown architecture {architecture!r}")
+    rng = np.random.default_rng(rng_seed)
+    weights = {name: M.glorot(rng, *shape) for name, shape in shapes.items()}
     return SurrogateParams(architecture=architecture, weights=weights)
 
 
@@ -477,19 +470,9 @@ def distill_surrogate(victim_label_fn, train_graphs: list[FeatureGraph],
     sp = _init_surrogate(architecture, d, hidden, rng_seed)
     optimizer = Adam(sp.weights, learning_rate)
     rng = np.random.default_rng(rng_seed)
-
     for _ in range(epochs):
-        order = rng.permutation(len(train_graphs))
-        for start in range(0, len(order), batch_size):
-            batch = [train_graphs[i] for i in order[start:start + batch_size]]
-            grad_sums = {k: np.zeros_like(v) for k, v in sp.weights.items()}
-            for graph in batch:
-                tape, bound, loss = _surrogate_loss(sp, graph, labels[graph.graph_id])
-                grads = ad.backward(tape, loss)
-                for name, tensor in bound.items():
-                    grad_sums[name] += grads[tensor.tid]
-            scale = 1.0 / len(batch)
-            optimizer.step(sp.weights, {k: g * scale for k, g in grad_sums.items()})
+        minibatch_epoch(sp.weights, optimizer, train_graphs, batch_size, rng,
+                        lambda g: _surrogate_loss(sp, g, labels[g.graph_id]))
 
     victim = SurrogateVictim(sp)
     agree = sum(1 for g in train_graphs if victim.label(g) == labels[g.graph_id])

@@ -36,18 +36,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(tid={self.tid}, shape={self.value.shape}, requires_grad={self.requires_grad})"
 
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
 
 # One backward closure per recorded op; it maps the output gradient to
 # (input tid, input gradient) contributions.

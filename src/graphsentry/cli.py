@@ -91,7 +91,6 @@ ATTACK_FIELDS = {
     "max_iterations": (_typed(int), 100),
     "ig_steps": (_typed(int), 20),
     "edges_per_iteration": (_typed(int), 1),
-    "candidate_policy": (_choice("any_missing_edge"), "any_missing_edge"),
     "rng_seed": (_typed(int), 0),
     "surrogate_hidden": (_typed(int), 32),
     "distill_epochs": (_typed(int), 100),
@@ -288,16 +287,16 @@ def _load_split(path, name: str) -> list[str]:
 def _finite_forward(checkpoint_path):
     """A forward that overflows means the checkpoint's weights are unusable:
     report it as bad input that names the checkpoint (and, from the
-    NonFiniteError, the graph)."""
+    NonFiniteError, the graph). numpy's overflow warnings are silenced, as the
+    error says what overflowed."""
     try:
-        yield
+        with np.errstate(over="ignore", invalid="ignore"):
+            yield
     except ad.NonFiniteError as exc:
         raise ConfigError(f"{checkpoint_path}: weights overflow: {exc}") from exc
 
 
 def _check_schema(params: M.ModelParams, graphs, checkpoint_path, dataset_path):
-    if not graphs:
-        raise ConfigError(f"{dataset_path}: dataset is empty")
     d = graphs[0].feature_dim
     if params.feature_dim != d:
         raise ConfigError(f"schema mismatch: checkpoint {checkpoint_path} expects "
@@ -465,8 +464,7 @@ def cmd_attack(args) -> None:
     _check_schema(params, graphs, args.checkpoint, args.dataset)
     try:
         cfg = AT.AttackConfig(**{k: values[k] for k in (
-            "max_iterations", "ig_steps", "edges_per_iteration",
-            "candidate_policy", "rng_seed")})
+            "max_iterations", "ig_steps", "edges_per_iteration", "rng_seed")})
         cfg.validate()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -544,7 +542,7 @@ def cmd_export_embeddings(args) -> None:
     with _finite_forward(args.checkpoint):
         for g in graphs:
             emb = M.graph_embedding(g, params)
-            s0, s1 = M.embedding_scores(emb, params)
+            s0, s1 = M.embedding_scores(emb, params, g.graph_id)
             rows.append([g.graph_id, g.label] + [_fmt(v) for v in emb]
                         + [_fmt(s0), _fmt(s1)])
     header = ["graph_id", "label"] + [f"g_{i + 1}" for i in range(h)] \

@@ -183,13 +183,14 @@ def save_dataset(path, graphs: list[FeatureGraph], schema: FeatureSchema) -> Non
 
 
 def load_dataset(path) -> tuple[list[FeatureGraph], FeatureSchema]:
-    """Parse a dataset file. Any malformed line fails the whole load with its line number."""
+    """Parse a dataset file. Any malformed line fails the whole load with its
+    line number; a file with no graph records fails as empty."""
     if not os.path.exists(path):
         raise FileNotFoundError(f"dataset file not found: {path}")
     with open(path, "r", encoding="utf-8") as fh:
         raw = [ln for ln in (line.strip() for line in fh) if ln]
     if not raw:
-        return [], FeatureSchema(1, 1)  # empty file: no graphs, placeholder schema
+        raise ValueError(f"{path}: dataset is empty")
 
     def fail(lineno, msg):
         raise ValueError(f"{path}:{lineno}: {msg}")
@@ -206,6 +207,8 @@ def load_dataset(path) -> tuple[list[FeatureGraph], FeatureSchema]:
         schema = FeatureSchema(int(header["opcode_dim"]), int(header["permission_dim"]))
     except (TypeError, ValueError, OverflowError) as exc:
         fail(1, f"bad header dims: {exc}")
+    if len(raw) == 1:
+        raise ValueError(f"{path}: dataset is empty")
 
     graphs = []
     for lineno, line in enumerate(raw[1:], start=2):

@@ -7,7 +7,8 @@ One normalization (`relaxed_propagation`) gives the dense (n, n) matrix P
 that training, inference and the attack all propagate through; at 0/1
 adjacency it is `propagation_terms`. Training runs the layers on a tape
 (`_gnn_forward`); inference and the attack run the same layers in plain
-numpy (`gnn_layers`).
+numpy (`gnn_layers`). The module holds no mutable state: a training run
+counts its own masking and decoding from its tapes.
 """
 from __future__ import annotations
 
@@ -26,19 +27,6 @@ from .graphdata import FeatureGraph, FeatureSchema, canonical_json
 CHECKPOINT_FORMAT = "graphsentry-checkpoint"
 CHECKPOINT_VERSION = 1
 DEG_EPS = 1e-12  # degree below which a node counts as isolated
-
-# Forward-pass instrumentation, used to verify which training variants touch
-# the masking and reconstruction machinery at all.
-counters = {"mask_samples": 0, "decoder_passes": 0}
-
-
-def reset_counters() -> None:
-    counters["mask_samples"] = 0
-    counters["decoder_passes"] = 0
-
-
-def snapshot_counters() -> dict[str, int]:
-    return dict(counters)
 
 
 @dataclass
@@ -76,6 +64,11 @@ class ModelParams:
         for arr in self.named_arrays().values():
             if not np.all(np.isfinite(arr)):
                 raise ValueError("parameters contain non-finite entries")
+        for name in ("proxy_benign", "proxy_malicious"):
+            with np.errstate(over="ignore"):
+                norm = np.linalg.norm(getattr(self, name))
+            if not np.isfinite(norm):
+                raise ValueError(f"{name} has a norm that overflows")
 
     @property
     def feature_dim(self) -> int:
@@ -120,7 +113,8 @@ class MaskPlan:
     gamma: float
 
 
-def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
+def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
+    """Uniform [-a, a], a = sqrt(6/(fan_in+fan_out)): detector and surrogate init."""
     a = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-a, a, size=(fan_in, fan_out))
 
@@ -136,8 +130,8 @@ def init_params(schema: FeatureSchema | int, hidden: int = 128, layers: int = 2,
     d = schema.d if isinstance(schema, FeatureSchema) else int(schema)
     h = hidden
     rng = np.random.default_rng(rng_seed)
-    enc = [_glorot(rng, d, h)] + [_glorot(rng, h, h) for _ in range(layers - 1)]
-    dec = [_glorot(rng, h, h) for _ in range(layers - 1)] + [_glorot(rng, h, d)]
+    enc = [glorot(rng, d, h)] + [glorot(rng, h, h) for _ in range(layers - 1)]
+    dec = [glorot(rng, h, h) for _ in range(layers - 1)] + [glorot(rng, h, d)]
     params = ModelParams(
         encoder_weights=enc,
         decoder_weights=dec,
@@ -153,7 +147,7 @@ def init_head(params: ModelParams, rng_seed: int) -> None:
     """Attach a fresh 2-layer MLP head (h -> h -> 2 logits) in place."""
     h = params.hidden_dim
     rng = np.random.default_rng(rng_seed)
-    params.head_weights = [_glorot(rng, h, h), _glorot(rng, h, 2)]
+    params.head_weights = [glorot(rng, h, h), glorot(rng, h, 2)]
 
 
 def sample_mask(node_count: int, gamma: float, rng: np.random.Generator) -> MaskPlan:
@@ -165,7 +159,6 @@ def sample_mask(node_count: int, gamma: float, rng: np.random.Generator) -> Mask
         raise ValueError("gamma must lie strictly between 0 and 1")
     k = int(np.floor(gamma * node_count + 0.5))  # round half up
     k = min(max(k, 1), node_count - 1)
-    counters["mask_samples"] += 1
     idx = rng.choice(node_count, size=k, replace=False)
     return MaskPlan(masked=tuple(sorted(int(i) for i in idx)), gamma=gamma)
 
@@ -259,7 +252,6 @@ def decode(graph: FeatureGraph, remasked: ad.Tensor,
            decoder_weights: list[ad.Tensor]) -> ad.Tensor:
     """Same propagation rule; the final layer is linear so reconstructions can
     approach binary targets from both sides."""
-    counters["decoder_passes"] += 1
     return _gnn_forward(remasked, propagation_terms(graph), decoder_weights,
                         final_linear=True)
 
@@ -327,9 +319,11 @@ def graph_embedding(graph: FeatureGraph, params: ModelParams) -> np.ndarray:
     return g
 
 
-def embedding_scores(g: np.ndarray, params: ModelParams) -> tuple[float, float]:
-    """(benign, malicious) scores of a graph embedding: proxy cosines, or head
-    logits when a head is attached."""
+def embedding_scores(g: np.ndarray, params: ModelParams,
+                     graph_id: str) -> tuple[float, float]:
+    """(benign, malicious) scores of graph `graph_id`'s embedding: proxy
+    cosines, or head logits when a head is attached. Raises NonFiniteError
+    naming the graph when a score is not finite (weights that overflow)."""
     if params.head_weights is not None:
         hid = np.maximum(g @ params.head_weights[0], 0.0)
         s0, s1 = (hid @ params.head_weights[1]).tolist()
@@ -338,12 +332,14 @@ def embedding_scores(g: np.ndarray, params: ModelParams) -> tuple[float, float]:
         p0, p1 = params.proxy_benign, params.proxy_malicious
         s0 = float(g @ p0) / (gn * max(float(np.linalg.norm(p0)), ad.NORM_CLAMP))
         s1 = float(g @ p1) / (gn * max(float(np.linalg.norm(p1)), ad.NORM_CLAMP))
+    if not (math.isfinite(s0) and math.isfinite(s1)):
+        raise ad.NonFiniteError(f"graph {graph_id}: scores ({s0}, {s1}) are not finite")
     return s0, s1
 
 
 def predict(graph: FeatureGraph, params: ModelParams) -> tuple[int, float, float]:
     """Full unmasked forward and its `embedding_scores`. Ties go to malicious."""
-    s0, s1 = embedding_scores(graph_embedding(graph, params), params)
+    s0, s1 = embedding_scores(graph_embedding(graph, params), params, graph.graph_id)
     return (1 if s1 >= s0 else 0), s0, s1
 
 

@@ -1,10 +1,13 @@
 """Joint optimization loop, ablation variants and metrics.
 
-Per epoch the train set is reshuffled, fresh mask plans are drawn per graph,
-and each batch accumulates per-graph tape gradients before one optimizer
-step. The classifier term uses the readout of the encoder output on the
-masked input, the same pass that feeds the decoder; the validation metric
-always runs the unmasked predict path.
+One minibatch loop (`minibatch_epoch`) trains the detector and the attack's
+distilled surrogate: per epoch the graphs are reshuffled, and each batch sums
+one tape's gradients per graph before one optimizer step on their mean. The
+detector draws its mask plans from the permutation's generator; its
+classifier term reads the encoder output on the masked input, the pass that
+feeds the decoder, and validation runs the unmasked predict path. Training
+stops after `early_stop_patience` epochs without a better val F1, or at F1
+1.0. Each run counts its mask samples and decoder passes from its tapes.
 
 The proxy-contrast term is class-balanced: a graph of class c weighs
 N / (k * N_c), for N training graphs over k classes, so each proxy receives
@@ -140,6 +143,36 @@ class Adam:
             arr -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
 
+def minibatch_epoch(arrays: dict[str, np.ndarray], optimizer: Adam,
+                    graphs: list[FeatureGraph], batch_size: int,
+                    rng: np.random.Generator, graph_loss) -> None:
+    """One epoch over `graphs` in a fresh permutation drawn from `rng`.
+
+    `graph_loss(graph)` returns (tape, bound, loss): one tape per graph, with
+    `bound` mapping parameter names of `arrays` to their tensors on it. Each
+    batch's gradients are summed by name and `optimizer` steps once on their
+    mean. A NonFiniteError is re-raised naming the graph."""
+    order = rng.permutation(len(graphs))
+    for start in range(0, len(order), batch_size):
+        batch = [graphs[i] for i in order[start:start + batch_size]]
+        grad_sums = {k: np.zeros_like(v) for k, v in arrays.items()}
+        for graph in batch:
+            try:
+                tape, bound, loss = graph_loss(graph)
+            except ad.NonFiniteError as exc:
+                raise ad.NonFiniteError(f"graph {graph.graph_id}: {exc}") from exc
+            grads = ad.backward(tape, loss)
+            for name, tensor in bound.items():
+                grad_sums[name] += grads[tensor.tid]
+        scale = 1.0 / len(batch)
+        optimizer.step(arrays, {k: g * scale for k, g in grad_sums.items()})
+
+
+def _reads(tape: ad.Tape, tensor: ad.Tensor) -> bool:
+    """Whether a recorded op of `tape` takes `tensor` as an input."""
+    return any(tensor.tid in rec.input_ids for rec in tape.records)
+
+
 def proxy_class_weights(graphs: list[FeatureGraph]) -> dict[int, float]:
     """Per-class weight N / (k * N_c) of the proxy-contrast term."""
     counts = Counter(g.label for g in graphs)
@@ -148,7 +181,7 @@ def proxy_class_weights(graphs: list[FeatureGraph]) -> dict[int, float]:
 
 def _graph_loss(graph: FeatureGraph, params: M.ModelParams, config: TrainConfig,
                 rng: np.random.Generator, class_weights: dict[int, float]):
-    """One tape: forward a single graph, return (tape, joint, rec value or None)."""
+    """One tape: forward a single graph, return (tape, bound, joint, rec value or None)."""
     tape = ad.Tape()
     bound = M.bind_params(tape, params, trainable=True)
     x = tape.constant(graph.features)
@@ -184,10 +217,11 @@ def _graph_loss(graph: FeatureGraph, params: M.ModelParams, config: TrainConfig,
 
 def train(train_graphs: list[FeatureGraph], val_graphs: list[FeatureGraph],
           config: TrainConfig) -> tuple[M.ModelParams, TrainReport]:
-    """Run the variant's objective until val F1 stops improving.
+    """Run the variant's objective until val F1 stops improving or is 1.0.
 
-    Returns the best-F1 checkpoint (not the last epoch's parameters) and the
-    per-epoch report. Raises TrainingDiverged on a non-finite loss.
+    Returns the checkpoint of the first epoch with the best F1 (not the last
+    epoch's parameters) and the per-epoch report. Raises TrainingDiverged on
+    a non-finite loss.
     """
     config.validate()
     if not train_graphs or not val_graphs:
@@ -204,57 +238,51 @@ def train(train_graphs: list[FeatureGraph], val_graphs: list[FeatureGraph],
     rng = np.random.default_rng(config.rng_seed)
     class_weights = proxy_class_weights(train_graphs)
 
-    counters_before = M.snapshot_counters()
-    report = TrainReport(variant=config.variant)
+    counts = {"mask_samples": 0, "decoder_passes": 0}
+    report = TrainReport(variant=config.variant, counter_delta=counts)
     best_params = params.copy()
     best_f1, best_epoch = -1.0, 0
 
     for epoch in range(1, config.max_epochs + 1):
         tic = time.perf_counter()
-        order = rng.permutation(len(train_graphs))
-        loss_sum, rec_sum, rec_count = 0.0, 0.0, 0
-        for start in range(0, len(order), config.batch_size):
-            batch = [train_graphs[i] for i in order[start:start + config.batch_size]]
-            grad_sums = {k: np.zeros_like(v) for k, v in arrays.items()}
-            for graph in batch:
-                try:
-                    tape, bound, joint, rec_value = _graph_loss(
-                        graph, params, config, rng, class_weights)
-                    grads = ad.backward(tape, joint)
-                except ad.NonFiniteError as exc:
-                    raise TrainingDiverged(
-                        f"epoch {epoch}, graph {graph.graph_id}: {exc}") from exc
-                for name, tensor in bound.items():
-                    grad_sums[name] += grads[tensor.tid]
-                loss_sum += float(joint.value)
-                if rec_value is not None:
-                    rec_sum += rec_value
-                    rec_count += 1
-            scale = 1.0 / len(batch)
-            optimizer.step(arrays, {k: g * scale for k, g in grad_sums.items()})
+        sums = {"loss": 0.0, "rec": 0.0, "rec_graphs": 0}
 
+        def graph_loss(graph):
+            tape, bound, joint, rec_value = _graph_loss(graph, params, config, rng,
+                                                        class_weights)
+            sums["loss"] += float(joint.value)
+            if rec_value is not None:
+                sums["rec"] += rec_value
+                sums["rec_graphs"] += 1
+            counts["mask_samples"] += _reads(tape, bound["mask_token"])
+            counts["decoder_passes"] += _reads(tape, bound["decoder.0"])
+            return tape, bound, joint
+
+        try:
+            minibatch_epoch(arrays, optimizer, train_graphs, config.batch_size, rng,
+                            graph_loss)
+        except ad.NonFiniteError as exc:  # the message names the graph
+            raise TrainingDiverged(f"epoch {epoch}, {exc}") from exc
         try:
             val_f1 = evaluate(params, val_graphs).f1
         except ad.NonFiniteError as exc:
             raise TrainingDiverged(f"epoch {epoch}, validation pass: {exc}") from exc
         report.epochs.append(EpochStats(
             epoch=epoch,
-            train_loss=loss_sum / len(train_graphs),
-            rec_loss=rec_sum / rec_count if rec_count else 0.0,
+            train_loss=sums["loss"] / len(train_graphs),
+            rec_loss=sums["rec"] / sums["rec_graphs"] if sums["rec_graphs"] else 0.0,
             val_f1=val_f1,
             seconds=time.perf_counter() - tic,
         ))
-        if val_f1 > best_f1:
+        if val_f1 > best_f1:  # a tie keeps the earlier epoch
             best_f1, best_epoch = val_f1, epoch
             best_params = params.copy()
-        if epoch - best_epoch >= config.early_stop_patience:
+        if best_f1 >= 1.0 or epoch - best_epoch >= config.early_stop_patience:
             break
 
     report.stopping_epoch = report.epochs[-1].epoch
     report.best_epoch = best_epoch
     report.best_val_f1 = best_f1
-    after = M.snapshot_counters()
-    report.counter_delta = {k: after[k] - counters_before[k] for k in after}
     return best_params, report
 
 

@@ -426,7 +426,7 @@ def test_detector_attack_never_inserts_reverse_of_present_edge():
 
 def test_attack_config_validation():
     for bad in (dict(max_iterations=0), dict(ig_steps=0),
-                dict(edges_per_iteration=0), dict(candidate_policy="weird")):
+                dict(edges_per_iteration=0)):
         with pytest.raises(ValueError):
             cfg(**bad).validate()
 
@@ -502,6 +502,26 @@ def test_distill_tracks_a_real_detector(arch):
     sp, agree = AT.distill_surrogate(victim.label, graphs, arch,
                                      epochs=120, hidden=16)
     assert agree >= 0.90, (arch, agree)
+
+
+@pytest.mark.parametrize("arch", AT.ARCHITECTURES)
+def test_distill_full_batch_epoch_is_one_adam_step_on_the_mean_gradient(arch):
+    graphs = toy_set(3)
+    sp, _ = AT.distill_surrogate(lambda g: g.label, graphs, arch, epochs=1,
+                                 hidden=8, learning_rate=0.05,
+                                 batch_size=len(graphs), rng_seed=4)
+    want = AT._init_surrogate(arch, D, 8, rng_seed=4)
+    sums = {k: np.zeros_like(v) for k, v in want.weights.items()}
+    for i in np.random.default_rng(4).permutation(len(graphs)):  # the loop's order
+        tape, bound, loss = AT._surrogate_loss(want, graphs[i], graphs[i].label)
+        grads = ad.backward(tape, loss)
+        for name, tensor in bound.items():
+            sums[name] += grads[tensor.tid]
+    T.Adam(want.weights, 0.05).step(
+        want.weights, {k: g * (1.0 / len(graphs)) for k, g in sums.items()})
+    assert sp.weights.keys() == want.weights.keys()
+    for name, arr in want.weights.items():
+        assert np.array_equal(sp.weights[name], arr), name
 
 
 def test_surrogate_gradient_shapes():

@@ -348,6 +348,22 @@ def test_deeply_nested_dataset_line_exit_2_naming_it(workspace, tmp_path, capsys
     assert f"{path}:{line}: " in capsys.readouterr().err
 
 
+def scoring_argv(command, ckpt, workspace, tmp_path):
+    """argv of a command that scores every graph of the workspace dataset."""
+    out = str(tmp_path / "out.csv")
+    return {"eval": ["eval", ckpt, workspace["dataset"], "--out", out],
+            "export-embeddings": ["export-embeddings", ckpt, workspace["dataset"], out],
+            "attack": ["attack", ckpt, workspace["dataset"],
+                       write_cfg(tmp_path / "atk.cfg", **ATTACK_KV),
+                       "--mode", "whitebox", "--out", out]}[command]
+
+
+def assert_names_checkpoint_and_graph(err, ckpt, workspace):
+    ids = {g.graph_id for g in load_dataset(workspace["dataset"])[0]}
+    assert err.startswith(f"error: {ckpt}: ")
+    assert any(f"graph {gid}:" in err for gid in ids), err
+
+
 @pytest.mark.parametrize("layers,scale", [((0, 1), 1e200), ((0,), 1e300)])
 @pytest.mark.parametrize("command", ["eval", "export-embeddings", "attack"])
 def test_overflowing_checkpoint_exit_2_naming_it_and_the_graph(
@@ -360,17 +376,53 @@ def test_overflowing_checkpoint_exit_2_naming_it_and_the_graph(
         params.encoder_weights[i] *= scale
     ckpt = str(tmp_path / "huge.json")
     M.save_checkpoint(ckpt, params, meta)
-    out = str(tmp_path / "out.csv")
-    argv = {"eval": ["eval", ckpt, workspace["dataset"], "--out", out],
-            "export-embeddings": ["export-embeddings", ckpt, workspace["dataset"], out],
-            "attack": ["attack", ckpt, workspace["dataset"],
-                       write_cfg(tmp_path / "atk.cfg", **ATTACK_KV),
-                       "--mode", "whitebox", "--out", out]}
+    assert cli.main(scoring_argv(command, ckpt, workspace, tmp_path)) == 2
+    assert_names_checkpoint_and_graph(capsys.readouterr().err, ckpt, workspace)
+
+
+@pytest.mark.parametrize("command", ["eval", "export-embeddings", "attack"])
+def test_overflowing_head_exit_2_naming_it_and_the_graph(
+        workspace, tmp_path, capsys, command):
+    """A head whose logits overflow scores every graph nan, which would call
+    every graph benign."""
+    params, meta = M.load_checkpoint(workspace["checkpoint"])
+    M.init_head(params, rng_seed=1)
+    for w in params.head_weights:
+        w *= 1e200
+    ckpt = str(tmp_path / "huge_head.json")
+    M.save_checkpoint(ckpt, params, meta)
+    assert cli.main(scoring_argv(command, ckpt, workspace, tmp_path)) == 2
+    assert_names_checkpoint_and_graph(capsys.readouterr().err, ckpt, workspace)
+
+
+@pytest.mark.parametrize("command", ["eval", "export-embeddings", "attack"])
+def test_overflowing_proxy_norm_exit_2_naming_it(workspace, tmp_path, capsys, command):
+    """Finite proxy entries whose norm overflows would read every cosine
+    against that proxy as 0."""
+    params, _ = M.load_checkpoint(workspace["checkpoint"])
+    with open(workspace["checkpoint"], "r", encoding="utf-8") as fh:
+        payload = json.load(fh)
+    payload["tensors"]["proxy_malicious"] = M._encode_array(params.proxy_malicious * 1e200)
+    ckpt = tmp_path / "huge_proxy.json"
+    ckpt.write_text(json.dumps(payload))
+    assert cli.main(scoring_argv(command, str(ckpt), workspace, tmp_path)) == 2
+    assert capsys.readouterr().err == (f"error: {ckpt}: proxy_malicious has a norm "
+                                       f"that overflows\n")
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "export-embeddings"])
+def test_dataset_without_records_exit_2(workspace, tmp_path, capsys, command):
+    with open(workspace["dataset"], "r", encoding="utf-8") as fh:
+        header = fh.readline()
+    path = tmp_path / "header_only.jsonl"
+    path.write_text(header)
+    out = str(tmp_path / "out")
+    argv = {"train": ["train", str(path), workspace["train_cfg"], out],
+            "eval": ["eval", workspace["checkpoint"], str(path), "--out", out],
+            "export-embeddings": ["export-embeddings", workspace["checkpoint"],
+                                  str(path), out]}
     assert cli.main(argv[command]) == 2
-    err = capsys.readouterr().err
-    ids = {g.graph_id for g in load_dataset(workspace["dataset"])[0]}
-    assert err.startswith(f"error: {ckpt}: ")
-    assert any(f"graph {gid}:" in err for gid in ids), err
+    assert capsys.readouterr().err == f"error: {path}: dataset is empty\n"
 
 
 def test_eval_missing_checkpoint_exit_2(workspace, tmp_path):
@@ -462,6 +514,15 @@ def test_attack_bad_config_exit_2(workspace, tmp_path, capsys):
                      cfg, "--mode", "whitebox",
                      "--out", str(tmp_path / "a.csv")]) == 2
     assert "ig_steps" in capsys.readouterr().err
+
+
+def test_attack_candidate_policy_is_an_unknown_field_exit_2(workspace, tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "a.cfg",
+                    **{**ATTACK_KV, "candidate_policy": "any_missing_edge"})
+    assert cli.main(["attack", workspace["checkpoint"], workspace["dataset"],
+                     cfg, "--mode", "whitebox",
+                     "--out", str(tmp_path / "a.csv")]) == 2
+    assert "unknown field 'candidate_policy'" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------ export

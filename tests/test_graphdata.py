@@ -124,11 +124,13 @@ def test_save_load_round_trip(tmp_path):
         np.testing.assert_array_equal(back.features, orig.features)
 
 
-def test_load_empty_file_gives_empty_list(tmp_path):
+def test_load_file_without_records_raises(tmp_path):
     path = tmp_path / "empty.jsonl"
-    path.write_text("")
-    graphs, _ = load_dataset(path)
-    assert graphs == []
+    for content in ("", "\n\n", '{"opcode_dim":4,"permission_dim":2}\n'):
+        path.write_text(content)
+        with pytest.raises(ValueError) as err:
+            load_dataset(path)
+        assert str(err.value) == f"{path}: dataset is empty", content
 
 
 def test_load_missing_file_raises():

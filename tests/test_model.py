@@ -331,21 +331,6 @@ def test_predict_with_head_uses_logits():
     assert label == (1 if s1 >= s0 else 0)
 
 
-# ------------------------------------------------------------------ instrumentation
-
-def test_counters_track_mask_and_decode():
-    M.reset_counters()
-    rng = np.random.default_rng(0)
-    M.sample_mask(10, 0.5, rng)
-    M.sample_mask(10, 0.5, rng)
-    g = make_graph(3, [(0, 1)], d=2)
-    run_decode(g, np.zeros((3, 2)), [np.eye(2)])
-    snap = M.snapshot_counters()
-    assert snap == {"mask_samples": 2, "decoder_passes": 1}
-    M.reset_counters()
-    assert M.snapshot_counters() == {"mask_samples": 0, "decoder_passes": 0}
-
-
 # ------------------------------------------------------------------ checkpoints
 
 def test_checkpoint_round_trips_bit_exactly(tmp_path):

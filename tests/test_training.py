@@ -141,6 +141,27 @@ def test_early_stop_plateau_semantics(monkeypatch):
     assert report.best_val_f1 == 0.5
 
 
+def test_perfect_val_f1_stops_training(monkeypatch):
+    # val F1 reaches 1.0 at epoch 3; no later epoch can beat it, so the run
+    # stops there, with patience to spare
+    def scripted_evaluate(script):
+        def fake_evaluate(params, graphs):
+            return T.Metrics(0, 0, 1, 0, 0.0, 0.0, next(script), 1.0)
+        return fake_evaluate
+
+    graphs = toy_dataset(2)
+    monkeypatch.setattr(T, "evaluate", scripted_evaluate(iter([0.2, 0.5, 1.0] + [1.0] * 50)))
+    params, report = T.train(graphs, graphs, small_config(max_epochs=60,
+                                                          early_stop_patience=10))
+    assert (report.best_epoch, report.stopping_epoch, report.best_val_f1) == (3, 3, 1.0)
+    assert len(report.epochs) == 3
+    # the returned parameters are those a 3-epoch run ends with
+    monkeypatch.setattr(T, "evaluate", scripted_evaluate(iter([0.2, 0.5, 0.9])))
+    last, _ = T.train(graphs, graphs, small_config(max_epochs=3))
+    for name, arr in params.named_arrays().items():
+        assert np.array_equal(arr, last.named_arrays()[name]), name
+
+
 def test_stopping_epoch_never_exceeds_max_epochs():
     graphs = toy_dataset(2)
     _, report = T.train(graphs, graphs, small_config(max_epochs=3))
@@ -236,6 +257,16 @@ def test_variant_wiring_heads_and_counters():
             assert all(r > 0 for r in rec), variant
         else:
             assert rec == [0.0] * len(rec), variant
+
+
+def test_counts_come_from_the_tapes_of_the_run():
+    # a 1-node graph cannot be masked, so it is neither masked nor decoded
+    solo = FeatureGraph(1, [], np.eye(1, D), 0, "solo")
+    graphs = toy_dataset(3) + [solo]
+    for _ in range(2):  # a second run counts from zero again
+        _, report = T.train(graphs, graphs, small_config(max_epochs=3))
+        want = (len(graphs) - 1) * len(report.epochs)
+        assert report.counter_delta == {"mask_samples": want, "decoder_passes": want}
 
 
 def test_minus_cr_trains_with_zero_masking_instrumentation():
