@@ -38,6 +38,13 @@ from .training import Adam, minibatch_epoch
 # HEAD_ROWS rows (see _fixed_rows), so the chunk size cannot change a score.
 CHUNK_ROWS = 64
 HEAD_ROWS = 64  # one shape for every head call, a multiple of BLAS's row blocking
+# Candidates whose IG scores lie within TIE_TOLERANCE * max(|best|, TIE_FLOOR)
+# of the best are tied, and the lexicographically smallest of them is picked.
+# A change of float order moves a score by a few ulps (about 1e-16 relative);
+# the window is several orders of magnitude wider, so such noise cannot decide
+# between near-equal candidates. TIE_FLOOR only matters when the best is 0.
+TIE_TOLERANCE = 1e-9
+TIE_FLOOR = 1e-12
 
 ARCHITECTURES = ("mlp_on_degree_features", "gnn2_mlp")
 
@@ -352,6 +359,22 @@ def _add_edges(graph: FeatureGraph, new_edges: list[tuple[int, int]]) -> Feature
     )
 
 
+def pick_edges(scores: dict[tuple[int, int], float],
+               count: int) -> list[tuple[int, int]]:
+    """Up to `count` edges, one at a time: the lexicographically smallest of
+    the candidates left whose score is at least best - TIE_TOLERANCE *
+    max(|best|, TIE_FLOOR), where best is the top score among them."""
+    left = dict(scores)
+    picks = []
+    for _ in range(min(count, len(left))):
+        best = max(left.values())
+        cut = best - TIE_TOLERANCE * max(abs(best), TIE_FLOOR)
+        pick = min(e for e, s in left.items() if s >= cut)
+        picks.append(pick)
+        del left[pick]
+    return picks
+
+
 def _attack_loop(saliency_victim, label_fn, graph: FeatureGraph,
                  config: AttackConfig) -> AttackResult:
     config.validate()
@@ -369,8 +392,7 @@ def _attack_loop(saliency_victim, label_fn, graph: FeatureGraph,
         except NoCandidateEdges:
             break
         iterations += 1
-        ranked = sorted(scores, key=lambda e: (-scores[e], e))
-        picks = ranked[:config.edges_per_iteration]
+        picks = pick_edges(scores, config.edges_per_iteration)
         work = _add_edges(work, picks)
         added.extend(picks)
         queries += 1

@@ -347,6 +347,48 @@ def test_zero_saliency_tie_breaks_lexicographically():
     assert res.edges_added == [(0, 1), (0, 2)]  # smallest missing pairs in order
 
 
+def test_near_tied_scores_pick_the_smallest_edge():
+    best = 0.25
+    scores = {(3, 1): best, (0, 4): best * (1 - 0.5e-9), (0, 2): best * (1 - 2e-9),
+              (1, 0): -1.0, (2, 0): best * (1 - 0.9e-9)}
+    # (0, 4) and (2, 0) are within the window of the best, (0, 2) is not
+    assert AT.pick_edges(scores, 1) == [(0, 4)]
+    assert AT.pick_edges(scores, 4) == [(0, 4), (2, 0), (3, 1), (0, 2)]
+    assert AT.pick_edges(scores, 10) == [(0, 4), (2, 0), (3, 1), (0, 2), (1, 0)]
+    # a best of exactly 0 ties only with scores within TIE_FLOOR's window
+    assert AT.pick_edges({(1, 2): 0.0, (0, 1): -1e-22, (0, 2): -1e-3}, 2) == [
+        (0, 1), (1, 2)]
+
+
+def ulp_noise(scores, rng, ulps=4):
+    return {e: s + float(rng.integers(-ulps, ulps + 1)) * float(np.spacing(s))
+            for e, s in scores.items()}
+
+
+def test_pick_ignores_a_few_ulps_of_noise():
+    """Scores moved by up to 4 ulps, as a change of float order moves them,
+    give the same picks, for one edge per iteration and for several."""
+    rng = np.random.default_rng(5)
+    cases = []
+    for seed in range(12):
+        g = rand_graph(7, 200 + seed, p=0.25)
+        if seed % 3 == 0:  # identical feature rows give exactly tied candidates
+            feats = g.features.copy()
+            feats[4:] = feats[3]
+            g = FeatureGraph(g.node_count, g.edges, feats, g.label, g.graph_id)
+        cases.append(AT.edge_saliency_ig(rand_params(300 + seed), g, 3))
+    keys = [(s, t) for s in range(6) for t in range(6) if s != t]
+    cases.append(dict(zip(keys, np.repeat(rng.normal(size=10), 3).tolist())))
+    ties = 0
+    for scores in cases:
+        ties += len(scores) - len(set(scores.values()))
+        for count in (1, 3):
+            want = AT.pick_edges(scores, count)
+            for _ in range(20):
+                assert AT.pick_edges(ulp_noise(scores, rng), count) == want
+    assert ties > 0  # the cases hold exact ties, which noise would otherwise break
+
+
 def test_attack_preserves_original_graph_exactly():
     for seed in range(5):
         g = rand_graph(6, 30 + seed, p=0.25)
