@@ -29,7 +29,7 @@ from . import autodiff as ad
 from . import model as M
 from .graphdata import FeatureGraph
 from .losses import cross_entropy_logits
-from .training import Adam, minibatch_epoch
+from .training import Adam, batch_tape, minibatch_epoch
 
 # Rows per margin_grad_batched call. At desk sizes (n <= 19, hidden 32) one
 # (B,n,h) float64 array of a chunk is at most 0.3 MB, so an op's operands fit
@@ -456,17 +456,22 @@ def _init_surrogate(architecture: str, d: int, hidden: int,
     return SurrogateParams(architecture=architecture, weights=weights)
 
 
-def _surrogate_loss(sp: SurrogateParams, graph: FeatureGraph, label: int):
+def surrogate_loss_tape(sp: SurrogateParams, members: list[tuple[FeatureGraph, int]]):
+    """One tape over a batch of (graph, victim label) members: (tape, bound,
+    the sum of their cross-entropies). A GNN surrogate runs on the padded
+    batch (model.GraphBatch)."""
     tape = ad.Tape()
     bound = {k: tape.param(v) for k, v in sp.weights.items()}
+    graphs = [g for g, _ in members]
     if sp.architecture == "gnn2_mlp":
-        h = M.encode(graph, tape.constant(graph.features),
+        batch = M.batch_graphs(graphs)
+        h = M.encode(batch, tape.constant(batch.features),
                      [bound["enc.0"], bound["enc.1"]])
-        g = M.readout(h)
+        g = M.readout(h, batch)
     else:
-        g = tape.constant(_degree_summary(graph))
+        g = tape.constant(np.stack([_degree_summary(graph) for graph in graphs]))
     logits = M.head_logits(g, [bound["head.0"], bound["head.1"]])
-    loss = cross_entropy_logits(logits, label)
+    loss = cross_entropy_logits(logits, [y for _, y in members])
     return tape, bound, loss
 
 
@@ -494,7 +499,9 @@ def distill_surrogate(victim_label_fn, train_graphs: list[FeatureGraph],
     rng = np.random.default_rng(rng_seed)
     for _ in range(epochs):
         minibatch_epoch(sp.weights, optimizer, train_graphs, batch_size, rng,
-                        lambda g: _surrogate_loss(sp, g, labels[g.graph_id]))
+                        lambda batch: batch_tape(
+                            lambda ms: surrogate_loss_tape(sp, ms),
+                            [(g, labels[g.graph_id]) for g in batch]))
 
     victim = SurrogateVictim(sp)
     agree = sum(1 for g in train_graphs if victim.label(g) == labels[g.graph_id])

@@ -98,7 +98,11 @@ def backward(tape: Tape, output: Tensor) -> dict[int, np.ndarray]:
     """Walk the tape in reverse record order once, from a scalar output.
 
     Returns a gradient for every grad-requiring leaf on the tape; leaves the
-    output does not depend on map to zeros.
+    output does not depend on map to zeros. The walk consumes the tape: its
+    records and leaf list are cleared, which breaks the reference cycles
+    between the tape and its tensors, so that reference counting frees the
+    tape's arrays once the caller drops it (a minibatch tape holds megabytes,
+    which the cyclic collector would free only some batches later).
     """
     if output.tape is not tape:
         raise ValueError("output tensor is not on this tape")
@@ -116,6 +120,8 @@ def backward(tape: Tape, output: Tensor) -> dict[int, np.ndarray]:
     for leaf in tape._grad_leaves:
         g = grads.get(leaf.tid)
         out[leaf.tid] = np.zeros_like(leaf.value) if g is None else g
+    tape.records.clear()
+    tape._grad_leaves.clear()
     return out
 
 
@@ -339,12 +345,20 @@ def tile_rows(v: Tensor, k: int) -> Tensor:
 
 
 def edge_aggregate(x: Tensor, p: np.ndarray) -> Tensor:
-    """Neighbour sum through a constant (n, n) propagation matrix: p @ x."""
-    if x.value.ndim != 2 or p.shape != (x.value.shape[0],) * 2:
-        raise ValueError(f"edge_aggregate: {p.shape} matrix for {x.value.shape} rows")
+    """Neighbour sum through a constant propagation matrix: p @ x for an
+    (n, n) p, or for a (B, m, m) stack blockwise over the B*m rows of x, where
+    block b (rows b*m .. b*m+m-1) is propagated by p[b]."""
+    xv = x.value
+    stack = p[None] if p.ndim == 2 else p
+    if (stack.ndim != 3 or stack.shape[1] != stack.shape[2] or xv.ndim != 2
+            or xv.shape[0] != stack.shape[0] * stack.shape[1]):
+        raise ValueError(f"edge_aggregate: {p.shape} matrix for {xv.shape} rows")
+    blocks = (stack.shape[0], stack.shape[1], xv.shape[1])
+    back = np.swapaxes(stack, 1, 2)
     with np.errstate(over="ignore", invalid="ignore"):  # blowups become NonFiniteError
-        out = p @ x.value
-    return x.tape.emit("edge_aggregate", (x,), out, lambda g: ((x.tid, p.T @ g),))
+        out = (stack @ xv.reshape(blocks)).reshape(xv.shape)
+    return x.tape.emit("edge_aggregate", (x,), out,
+                       lambda g: ((x.tid, (back @ g.reshape(blocks)).reshape(g.shape)),))
 
 
 @dataclass

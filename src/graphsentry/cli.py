@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -48,54 +49,62 @@ def _choice(*options):
     return parse
 
 
-def _typed(kind):
-    def parse(raw):
-        return kind(raw)
-    return parse
+def _finite(raw):
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("must be a finite number")
+    return value
+
+
+def _seed(raw):
+    value = int(raw)
+    if value < 0:
+        raise ValueError("must be a non-negative integer")
+    return value
 
 
 GEN_FIELDS = {
-    "n_graphs": (_typed(int), REQUIRED),
-    "benign_node_min": (_typed(int), REQUIRED),
-    "benign_node_max": (_typed(int), REQUIRED),
-    "motif_node_count": (_typed(int), REQUIRED),
+    "n_graphs": (int, REQUIRED),
+    "benign_node_min": (int, REQUIRED),
+    "benign_node_max": (int, REQUIRED),
+    "motif_node_count": (int, REQUIRED),
     "motif_feature_signature": (str, REQUIRED),
-    "malicious_fraction": (_typed(float), REQUIRED),
-    "background_edge_prob": (_typed(float), REQUIRED),
-    "rng_seed": (_typed(int), 0),
-    "opcode_dim": (_typed(int), REQUIRED),
-    "permission_dim": (_typed(int), REQUIRED),
+    "malicious_fraction": (_finite, REQUIRED),
+    "background_edge_prob": (_finite, REQUIRED),
+    "rng_seed": (_seed, 0),
+    "opcode_dim": (int, REQUIRED),
+    "permission_dim": (int, REQUIRED),
 }
 
 TRAIN_FIELDS = {
-    "gamma": (_typed(float), 0.8),
-    "learning_rate": (_typed(float), 0.001),
-    "layers": (_typed(int), 2),
-    "hidden": (_typed(int), 128),
-    "lambda1": (_typed(float), 1.0),
-    "lambda2": (_typed(float), 1.0),
-    "max_epochs": (_typed(int), 200),
-    "early_stop_patience": (_typed(int), 20),
-    "batch_size": (_typed(int), 32),
-    "rng_seed": (_typed(int), 0),
+    "gamma": (_finite, 0.8),
+    "learning_rate": (_finite, 0.001),
+    "layers": (int, 2),
+    "hidden": (int, 128),
+    "lambda1": (_finite, 1.0),
+    "lambda2": (_finite, 1.0),
+    "max_epochs": (int, 200),
+    "early_stop_patience": (int, 20),
+    "batch_size": (int, 32),
+    "rng_seed": (_seed, 0),
     "variant": (_choice(*T.VARIANTS), "full"),
-    "train_ratio": (_typed(float), 0.7),
-    "val_ratio": (_typed(float), 0.2),
-    "test_ratio": (_typed(float), 0.1),
-    "benign_parts": (_typed(float), 9.0),
-    "malicious_parts": (_typed(float), 1.0),
-    "split_seed": (_typed(int), 0),
+    "train_ratio": (_finite, 0.7),
+    "val_ratio": (_finite, 0.2),
+    "test_ratio": (_finite, 0.1),
+    "benign_parts": (_finite, 9.0),
+    "malicious_parts": (_finite, 1.0),
+    "split_seed": (_seed, 0),
 }
 
 ATTACK_FIELDS = {
-    "max_iterations": (_typed(int), 100),
-    "ig_steps": (_typed(int), 20),
-    "edges_per_iteration": (_typed(int), 1),
-    "rng_seed": (_typed(int), 0),
-    "surrogate_hidden": (_typed(int), 32),
-    "distill_epochs": (_typed(int), 100),
-    "distill_learning_rate": (_typed(float), 0.01),
-    "distill_batch_size": (_typed(int), 32),
+    "max_iterations": (int, 100),
+    "ig_steps": (int, 20),
+    "edges_per_iteration": (int, 1),
+    "rng_seed": (_seed, 0),
+    "surrogate_hidden": (int, 32),
+    "distill_epochs": (int, 100),
+    "distill_learning_rate": (_finite, 0.01),
+    "distill_batch_size": (int, 32),
 }
 
 
@@ -170,11 +179,61 @@ def write_manifest(path, command: str, config_text: str | None, seeds: dict,
         fh.write(canonical_json(manifest) + "\n")
 
 
+# command -> (whether it reads a config, inputs it needs, artifacts it
+# writes, extras replay reads and their legal values)
+MANIFEST_COMMANDS = {
+    "gen-data": (True, (), {"dataset"}, {}),
+    "train": (True, ("dataset",), {"checkpoint", "report", "split"},
+              {"variant": ("",) + T.VARIANTS}),
+    "eval": (False, ("checkpoint", "dataset"), {"metrics"},
+             {"split": ("train", "validation", "test", "all")}),
+    "attack": (True, ("checkpoint", "dataset"), {"report"},
+               {"mode": ("whitebox", "blackbox"), "surrogate": ("",) + AT.ARCHITECTURES}),
+    "export-embeddings": (False, ("checkpoint", "dataset"), {"embeddings"}, {}),
+}
+
+
+def _file_entries_ok(entries) -> bool:
+    return isinstance(entries, dict) and all(
+        isinstance(e, dict) and isinstance(e.get("path"), str) and "\0" not in e["path"]
+        and isinstance(e.get("sha256"), str) for e in entries.values())
+
+
 def load_manifest(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    if manifest.get("format") != MANIFEST_FORMAT:
+    """A run manifest written by `write_manifest`, with every field that
+    `replay_manifest` reads checked; ConfigError names the file and field."""
+    if not os.path.isfile(path):
+        raise ConfigError(f"manifest not found: {path}")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except (ValueError, RecursionError) as exc:  # malformed, non-UTF-8 or too deep
+        raise ConfigError(f"{path}: not a JSON manifest: {exc}") from None
+    if not isinstance(manifest, dict) or manifest.get("format") != MANIFEST_FORMAT:
         raise ConfigError(f"{path}: not a run manifest")
+    command = manifest.get("command")
+    if command not in MANIFEST_COMMANDS:
+        raise ConfigError(f"{path}: unknown command {command!r}")
+    configured, needs, artifacts, choices = MANIFEST_COMMANDS[command]
+    if isinstance(manifest.get("config_text"), str) != configured:
+        raise ConfigError(f"{path}: field 'config_text' must be "
+                          f"{'a string' if configured else 'null'} for {command}")
+    for name in ("inputs", "artifacts"):
+        if not _file_entries_ok(manifest.get(name)):
+            raise ConfigError(f"{path}: field {name!r} must map names to "
+                              f"{{path, sha256}} strings")
+    missing = [name for name in needs if name not in manifest["inputs"]]
+    if missing:
+        raise ConfigError(f"{path}: {command} input {missing[0]!r} is missing")
+    extra = sorted(set(manifest["artifacts"]) - artifacts)
+    if extra:
+        raise ConfigError(f"{path}: {command} writes no artifact {extra[0]!r}")
+    extras = manifest.get("extras")
+    if not isinstance(extras, dict):
+        raise ConfigError(f"{path}: field 'extras' must be an object")
+    for key, options in choices.items():
+        if extras.get(key) not in options:
+            raise ConfigError(f"{path}: extras field {key!r} must be one of {options}")
     return manifest
 
 
@@ -182,11 +241,12 @@ def replay_manifest(manifest_path, work_dir) -> dict:
     """Rerun a manifest's command into work_dir and compare artifact checksums.
 
     Inputs must still exist with their recorded checksums. Returns a report
-    with per-artifact match booleans.
+    with per-artifact match booleans. A manifest that is malformed, or whose
+    command exits 2 on its recorded inputs, raises ConfigError.
     """
     manifest = load_manifest(manifest_path)
     for name, entry in manifest["inputs"].items():
-        if not os.path.exists(entry["path"]):
+        if not os.path.isfile(entry["path"]):
             raise ConfigError(f"replay: input {name} missing at {entry['path']}")
         if _sha256(entry["path"]) != entry["sha256"]:
             raise ConfigError(f"replay: input {name} changed since the original run")
@@ -228,14 +288,14 @@ def replay_manifest(manifest_path, work_dir) -> dict:
         if extras.get("surrogate"):
             argv += ["--surrogate", extras["surrogate"]]
         out_map["report"] = out
-    elif command == "export-embeddings":
+    else:  # export-embeddings; load_manifest admits no other command
         out = os.path.join(work_dir, "embeddings.csv")
         argv = ["export-embeddings", inputs["checkpoint"], inputs["dataset"], out]
         out_map["embeddings"] = out
-    else:
-        raise ConfigError(f"replay: unknown command {command!r}")
 
     code = main(argv)
+    if code == 2:
+        raise ConfigError(f"replay of {command} rejected its recorded input")
     if code != 0:
         raise RuntimeError(f"replay of {command} exited with {code}")
     matches = {}
@@ -273,8 +333,8 @@ def _load_split(path, name: str) -> list[str]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             split_ids = json.load(fh)
-    except ValueError as exc:  # malformed JSON or text
-        raise ConfigError(f"{path}: not a JSON split file: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # malformed, non-UTF-8 or too deep
+        raise ConfigError(f"{path}: not a JSON split file: {exc}") from None
     if not isinstance(split_ids, dict) or name not in split_ids:
         raise ConfigError(f"split {name!r} not present in {path}")
     ids = split_ids[name]
@@ -321,12 +381,10 @@ def _write_csv(path, header: list[str], rows: list[list],
 
 # ------------------------------------------------------------------ commands
 
-def cmd_gen_data(args) -> None:
-    config_text = read_config(args.config)
-    values = parse_config(args.config, GEN_FIELDS, config_text)
+def gen_config(values: dict) -> SyntheticConfig:
+    """The generator config of parsed gen-data fields; ConfigError if invalid."""
     try:
-        schema = FeatureSchema(values["opcode_dim"], values["permission_dim"])
-        cfg = SyntheticConfig(
+        return SyntheticConfig(
             n_graphs=values["n_graphs"],
             benign_node_range=(values["benign_node_min"], values["benign_node_max"]),
             motif_node_count=values["motif_node_count"],
@@ -334,13 +392,18 @@ def cmd_gen_data(args) -> None:
             malicious_fraction=values["malicious_fraction"],
             background_edge_prob=values["background_edge_prob"],
             rng_seed=values["rng_seed"],
-            schema=schema,
+            schema=FeatureSchema(values["opcode_dim"], values["permission_dim"]),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def cmd_gen_data(args) -> None:
+    config_text = read_config(args.config)
+    cfg = gen_config(parse_config(args.config, GEN_FIELDS, config_text))
     tic = time.perf_counter()
     graphs = generate_synthetic_dataset(cfg)
-    save_dataset(args.out, graphs, schema)
+    save_dataset(args.out, graphs, cfg.schema)
     write_manifest(
         args.out + ".manifest.json", "gen-data", config_text,
         seeds={"rng_seed": cfg.rng_seed},
@@ -358,13 +421,9 @@ def _split_parts(graphs, split_ids):
     return {name: [by_id[gid] for gid in part] for name, part in split_ids.items()}
 
 
-def cmd_train(args) -> None:
-    config_text = read_config(args.config)
-    values = parse_config(args.config, TRAIN_FIELDS, config_text)
-    if args.variant:
-        values["variant"] = args.variant
-    graphs, _schema = _load_graphs(args.dataset)
-
+def train_setup(values: dict, graphs) -> tuple:
+    """(split of `graphs`, TrainConfig) from parsed train fields; ConfigError
+    if either is invalid."""
     ratios = (values["train_ratio"], values["val_ratio"], values["test_ratio"])
     try:
         split = split_dataset(graphs, ratios,
@@ -376,6 +435,16 @@ def cmd_train(args) -> None:
         cfg.validate()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    return split, cfg
+
+
+def cmd_train(args) -> None:
+    config_text = read_config(args.config)
+    values = parse_config(args.config, TRAIN_FIELDS, config_text)
+    if args.variant:
+        values["variant"] = args.variant
+    graphs, _schema = _load_graphs(args.dataset)
+    split, cfg = train_setup(values, graphs)
 
     parts = _split_parts(graphs, {"train": split.train, "validation": split.validation,
                                   "test": split.test})
@@ -456,18 +525,30 @@ def cmd_eval(args) -> None:
     print(f"confusion tp={m.tp} fp={m.fp} tn={m.tn} fn={m.fn}")
 
 
-def cmd_attack(args) -> None:
-    config_text = read_config(args.config)
-    values = parse_config(args.config, ATTACK_FIELDS, config_text)
-    params, _meta = _load_checkpoint(args.checkpoint)
-    graphs, _schema = _load_graphs(args.dataset)
-    _check_schema(params, graphs, args.checkpoint, args.dataset)
+def attack_config(values: dict) -> AT.AttackConfig:
+    """The AttackConfig of parsed attack fields, whose distillation fields
+    are checked too; ConfigError if any is invalid."""
+    for key in ("surrogate_hidden", "distill_epochs", "distill_batch_size"):
+        if values[key] < 1:
+            raise ConfigError(f"{key} must be at least 1")
+    if values["distill_learning_rate"] <= 0:
+        raise ConfigError("distill_learning_rate must be positive")
     try:
         cfg = AT.AttackConfig(**{k: values[k] for k in (
             "max_iterations", "ig_steps", "edges_per_iteration", "rng_seed")})
         cfg.validate()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    return cfg
+
+
+def cmd_attack(args) -> None:
+    config_text = read_config(args.config)
+    values = parse_config(args.config, ATTACK_FIELDS, config_text)
+    params, _meta = _load_checkpoint(args.checkpoint)
+    graphs, _schema = _load_graphs(args.dataset)
+    _check_schema(params, graphs, args.checkpoint, args.dataset)
+    cfg = attack_config(values)
     if args.mode == "blackbox" and not args.surrogate:
         raise ConfigError("blackbox mode requires --surrogate "
                           f"(one of {AT.ARCHITECTURES})")

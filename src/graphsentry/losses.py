@@ -21,48 +21,76 @@ class LossWeights:
             raise ValueError("at least one loss weight must be positive")
 
 
-def reconstruction_loss(x: ad.Tensor, z: ad.Tensor, plan: MaskPlan) -> ad.Tensor:
-    """Mean over masked rows of (1 - cos(x_v, z_v))^2. Each term lies in [0,4]."""
+def _labels(y, rows: int) -> np.ndarray:
+    """0/1 labels, one per row: an int for a single row, or a sequence."""
+    labels = np.atleast_1d(np.asarray(y))
+    if labels.shape != (rows,):
+        raise ValueError(f"{labels.size} labels for {rows} rows")
+    if not np.all((labels == 0) | (labels == 1)):
+        raise ValueError(f"label must be 0 or 1, got {y}")
+    return labels.astype(np.float64)
+
+
+def _rows(t: ad.Tensor) -> ad.Tensor:
+    """A (d,) vector as one (1, d) row; rows stay as they are."""
+    return ad.tile_rows(t, 1) if t.value.ndim == 1 else t
+
+
+def reconstruction_loss(x: ad.Tensor, z: ad.Tensor, plan: MaskPlan,
+                        row_weights=None) -> ad.Tensor:
+    """Sum over masked rows v of w_v (1 - cos(x_v, z_v))^2, each term in [0,4].
+    By default w_v = 1/|masked|, the mean over one graph's masked rows; a
+    batch weighs each row by 1/(its graph's masked count)."""
     if not plan.masked:
         raise ValueError("reconstruction loss needs at least one masked node")
     idx = list(plan.masked)
+    if row_weights is None:
+        row_weights = np.full(len(idx), 1.0 / len(idx))
     xm = ad.gather_rows(x, idx)
     zm = ad.gather_rows(z, idx)
     cos = ad.row_cosine(xm, zm)
     ones = x.tape.constant(np.ones(len(idx)))
-    return ad.mean_all(ad.square(ad.sub(ones, cos)))
+    return ad.dot(ad.square(ad.sub(ones, cos)), x.tape.constant(row_weights))
 
 
-def contrastive_loss(g: ad.Tensor, y: int, p0: ad.Tensor, p1: ad.Tensor) -> ad.Tensor:
-    """Pull the graph embedding toward its class proxy, push from the other.
+def contrastive_loss(g: ad.Tensor, y, p0: ad.Tensor, p1: ad.Tensor,
+                     weights=None) -> ad.Tensor:
+    """Pull each graph embedding toward its class proxy, push from the other.
 
-    y=1: cos(g,p0)^2 + (1-cos(g,p1))^2; y=0 swaps the proxy roles.
+    y=1: cos(g,p0)^2 + (1-cos(g,p1))^2; y=0 swaps the proxy roles. `g` is one
+    (h,) embedding with an int label, or (B, h) rows with B labels, summed
+    with per-row `weights` (default 1).
     """
-    if y not in (0, 1):
-        raise ValueError(f"label must be 0 or 1, got {y}")
-    own, other = (p1, p0) if y == 1 else (p0, p1)
-    one = g.tape.constant(1.0)
-    pull = ad.square(ad.sub(one, ad.cosine(g, own)))
-    push = ad.square(ad.cosine(g, other))
-    return ad.add(push, pull)
+    rows = _rows(g)
+    count = rows.value.shape[0]
+    labels = _labels(y, count)
+    tape = g.tape
+    c0 = ad.row_cosine(rows, ad.tile_rows(p0, count))
+    c1 = ad.row_cosine(rows, ad.tile_rows(p1, count))
+    # (y - c1)^2 + (1 - y - c0)^2 is pull + push for either label
+    terms = ad.add(ad.square(ad.sub(tape.constant(labels), c1)),
+                   ad.square(ad.sub(tape.constant(1.0 - labels), c0)))
+    w = np.ones(count) if weights is None else np.asarray(weights, dtype=np.float64)
+    return ad.dot(terms, tape.constant(w))
 
 
 def joint_loss(l_rec: ad.Tensor, l_cl: ad.Tensor, weights: LossWeights) -> ad.Tensor:
     return ad.add(ad.scale(l_rec, weights.lambda1), ad.scale(l_cl, weights.lambda2))
 
 
-def cross_entropy_logits(logits: ad.Tensor, y: int) -> ad.Tensor:
-    """Two-class cross-entropy from raw logits, used by the MLP-head variants.
+def cross_entropy_logits(logits: ad.Tensor, y) -> ad.Tensor:
+    """Two-class cross-entropy from raw logits, used by the MLP-head variants:
+    of one (2,) logit pair and an int label, or summed over (B, 2) rows.
 
-    Computed as logsumexp(logits - max) - logit_y with the max detached, which
-    keeps exp in range without changing the gradient.
+    Computed per row as logsumexp(logits - max) - logit_y with the max
+    detached, which keeps exp in range without changing the gradient.
     """
-    if y not in (0, 1):
-        raise ValueError(f"label must be 0 or 1, got {y}")
+    rows = _rows(logits)
+    count = rows.value.shape[0]
+    labels = _labels(y, count).astype(np.intp)
     tape = logits.tape
-    shift = tape.constant(np.full(2, float(logits.value.max())))
-    shifted = ad.sub(logits, shift)
-    lse = ad.log(ad.sum_all(ad.exp(shifted)))
-    pick = np.zeros(2)
-    pick[y] = 1.0
-    return ad.sub(lse, ad.dot(shifted, tape.constant(pick)))
+    shift = tape.constant(np.repeat(rows.value.max(axis=1, keepdims=True), 2, axis=1))
+    shifted = ad.sub(rows, shift)
+    lse = ad.log(ad.matmul(ad.exp(shifted), tape.constant(np.ones((2, 1)))))
+    pick = tape.constant(np.eye(2)[labels])
+    return ad.sub(ad.sum_all(lse), ad.sum_all(ad.mul(shifted, pick)))

@@ -6,9 +6,11 @@ weight, through ReLU. Neighborhoods are taken on the symmetrized edge set.
 One normalization (`relaxed_propagation`) gives the dense (n, n) matrix P
 that training, inference and the attack all propagate through; at 0/1
 adjacency it is `propagation_terms`. Training runs the layers on a tape
-(`_gnn_forward`); inference and the attack run the same layers in plain
-numpy (`gnn_layers`). The module holds no mutable state: a training run
-counts its own masking and decoding from its tapes.
+(`_gnn_forward`), over one graph or a padded minibatch (`GraphBatch`, whose
+(B, m, m) stack of P comes from one `relaxed_propagation` call); inference
+and the attack run the same layers in plain numpy (`gnn_layers`). The module
+holds no mutable state: a training run counts its own masking and decoding
+from its tapes.
 """
 from __future__ import annotations
 
@@ -111,6 +113,44 @@ class MaskPlan:
 
     masked: tuple[int, ...]
     gamma: float
+
+
+@dataclass(frozen=True)
+class GraphBatch:
+    """A minibatch of B graphs padded to m nodes each, held as one set of B*m
+    node rows: rows b*m .. b*m + n_b - 1 are graph b's nodes and the rest of
+    its block is zero padding. A padding node has degree 0, so its row and
+    column of P are zero; as the layers have no bias, its rows stay zero
+    through every layer and no real node reads them."""
+
+    width: int                # m, the largest node count of the batch
+    propagation: np.ndarray   # (B, m, m): P of each graph, zero-padded
+    features: np.ndarray      # (B*m, d): feature rows, zero rows for padding
+    pool: np.ndarray          # (B, B*m): row b averages graph b's node rows
+
+    def rows(self, b: int, nodes) -> list[int]:
+        """Row indices of graph b's nodes `nodes`."""
+        return [b * self.width + int(i) for i in nodes]
+
+
+def batch_graphs(graphs: list[FeatureGraph]) -> GraphBatch:
+    """Pad `graphs` to their largest node count m and stack them; P comes
+    from one `relaxed_propagation` call on the stacked 0/1 adjacency."""
+    if not graphs:
+        raise ValueError("a batch needs at least one graph")
+    for g in graphs:
+        if g.node_count < 1:
+            raise ValueError(f"graph {g.graph_id} is empty")
+    count, m = len(graphs), max(g.node_count for g in graphs)
+    a = np.zeros((count, m, m))
+    x = np.zeros((count * m, graphs[0].feature_dim))
+    pool = np.zeros((count, count * m))
+    for b, g in enumerate(graphs):
+        n, lo = g.node_count, b * m
+        a[b, :n, :n] = adjacency(g)
+        x[lo:lo + n] = g.features
+        pool[b, lo:lo + n] = 1.0 / n
+    return GraphBatch(m, relaxed_propagation(a)[4], x, pool)
 
 
 def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -239,28 +279,38 @@ def _gnn_forward(features: ad.Tensor, p: np.ndarray, weights: list[ad.Tensor],
     return h
 
 
-def encode(graph: FeatureGraph, features: ad.Tensor,
+def _rows_and_propagation(graph: FeatureGraph | GraphBatch):
+    if isinstance(graph, GraphBatch):
+        return graph.features.shape[0], graph.propagation
+    return graph.node_count, propagation_terms(graph)
+
+
+def encode(graph: FeatureGraph | GraphBatch, features: ad.Tensor,
            encoder_weights: list[ad.Tensor]) -> ad.Tensor:
-    """L propagation layers with ReLU; isolated nodes keep only their self term."""
-    if features.value.shape[0] != graph.node_count:
+    """L propagation layers with ReLU; isolated nodes keep only their self
+    term. `graph` is one graph, or a GraphBatch whose rows `features` holds."""
+    rows, p = _rows_and_propagation(graph)
+    if features.value.shape[0] != rows:
         raise ValueError("feature row count does not match the graph")
-    return _gnn_forward(features, propagation_terms(graph), encoder_weights,
-                        final_linear=False)
+    return _gnn_forward(features, p, encoder_weights, final_linear=False)
 
 
-def decode(graph: FeatureGraph, remasked: ad.Tensor,
+def decode(graph: FeatureGraph | GraphBatch, remasked: ad.Tensor,
            decoder_weights: list[ad.Tensor]) -> ad.Tensor:
     """Same propagation rule; the final layer is linear so reconstructions can
     approach binary targets from both sides."""
-    return _gnn_forward(remasked, propagation_terms(graph), decoder_weights,
+    return _gnn_forward(remasked, _rows_and_propagation(graph)[1], decoder_weights,
                         final_linear=True)
 
 
-def readout(node_embeddings: ad.Tensor) -> ad.Tensor:
-    """Mean pooling over nodes."""
+def readout(node_embeddings: ad.Tensor, batch: GraphBatch | None = None) -> ad.Tensor:
+    """Mean pooling over nodes: a (h,) vector for one graph, or (B, h) rows,
+    one per graph of `batch`, whose padding rows get weight 0."""
     if node_embeddings.value.shape[0] < 1:
         raise ValueError("readout needs at least one node")
-    return ad.mean_rows(node_embeddings)
+    if batch is None:
+        return ad.mean_rows(node_embeddings)
+    return ad.matmul(node_embeddings.tape.constant(batch.pool), node_embeddings)
 
 
 def bind_params(tape: ad.Tape, params: ModelParams,
@@ -292,10 +342,11 @@ def head_tensors(bound: dict[str, ad.Tensor]) -> list[ad.Tensor]:
 
 
 def head_logits(g: ad.Tensor, head_weights: list[ad.Tensor]) -> ad.Tensor:
-    """2-logit MLP head used by the non-contrastive variants."""
-    row = ad.tile_rows(g, 1)
-    hid = ad.relu(ad.matmul(row, head_weights[0]))
-    return ad.mean_rows(ad.matmul(hid, head_weights[1]))  # (1,2) -> (2,)
+    """2-logit MLP head used by the non-contrastive variants: (B, 2) logits of
+    (B, h) embedding rows, or (2,) of one (h,) embedding."""
+    rows = ad.tile_rows(g, 1) if g.value.ndim == 1 else g
+    logits = ad.matmul(ad.relu(ad.matmul(rows, head_weights[0])), head_weights[1])
+    return ad.mean_rows(logits) if g.value.ndim == 1 else logits  # (1,2) -> (2,)
 
 
 def graph_embedding(graph: FeatureGraph, params: ModelParams) -> np.ndarray:

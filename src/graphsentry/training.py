@@ -1,13 +1,17 @@
 """Joint optimization loop, ablation variants and metrics.
 
 One minibatch loop (`minibatch_epoch`) trains the detector and the attack's
-distilled surrogate: per epoch the graphs are reshuffled, and each batch sums
-one tape's gradients per graph before one optimizer step on their mean. The
-detector draws its mask plans from the permutation's generator; its
-classifier term reads the encoder output on the masked input, the pass that
-feeds the decoder, and validation runs the unmasked predict path. Training
-stops after `early_stop_patience` epochs without a better val F1, or at F1
-1.0. Each run counts its mask samples and decoder passes from its tapes.
+distilled surrogate: per epoch the graphs are reshuffled, and each batch is
+one tape, over its graphs padded and stacked (`model.GraphBatch`), whose
+scalar is the sum of the per-graph losses; the optimizer steps once on its
+gradient over the batch size, the mean. The detector draws each graph's mask
+plan from the permutation's generator, in batch order, before the tape is
+built; its classifier term reads the encoder output on the masked input, the
+pass that feeds the decoder, and validation runs the unmasked predict path.
+When a batch tape goes non-finite, `batch_tape` replays each graph alone
+with what was drawn for it, to name the graph and op. Training stops after
+`early_stop_patience` epochs without a better val F1, or at F1 1.0. Each run
+counts its masked and decoded graphs from its tapes.
 
 The proxy-contrast term is class-balanced: a graph of class c weighs
 N / (k * N_c), for N training graphs over k classes, so each proxy receives
@@ -145,27 +149,37 @@ class Adam:
 
 def minibatch_epoch(arrays: dict[str, np.ndarray], optimizer: Adam,
                     graphs: list[FeatureGraph], batch_size: int,
-                    rng: np.random.Generator, graph_loss) -> None:
+                    rng: np.random.Generator, batch_loss) -> None:
     """One epoch over `graphs` in a fresh permutation drawn from `rng`.
 
-    `graph_loss(graph)` returns (tape, bound, loss): one tape per graph, with
-    `bound` mapping parameter names of `arrays` to their tensors on it. Each
-    batch's gradients are summed by name and `optimizer` steps once on their
-    mean. A NonFiniteError is re-raised naming the graph."""
+    `batch_loss(batch)` returns (tape, bound, loss): one tape for the whole
+    batch whose scalar `loss` is the sum of its graphs' losses, with `bound`
+    mapping parameter names of `arrays` to their tensors on it. `optimizer`
+    steps once per batch, on the gradient of their mean."""
     order = rng.permutation(len(graphs))
     for start in range(0, len(order), batch_size):
         batch = [graphs[i] for i in order[start:start + batch_size]]
-        grad_sums = {k: np.zeros_like(v) for k, v in arrays.items()}
-        for graph in batch:
-            try:
-                tape, bound, loss = graph_loss(graph)
-            except ad.NonFiniteError as exc:
-                raise ad.NonFiniteError(f"graph {graph.graph_id}: {exc}") from exc
-            grads = ad.backward(tape, loss)
-            for name, tensor in bound.items():
-                grad_sums[name] += grads[tensor.tid]
+        tape, bound, loss = batch_loss(batch)
+        grads = ad.backward(tape, loss)
         scale = 1.0 / len(batch)
-        optimizer.step(arrays, {k: g * scale for k, g in grad_sums.items()})
+        optimizer.step(arrays, {name: grads[t.tid] * scale for name, t in bound.items()})
+
+
+def batch_tape(build, members: list):
+    """`build(members)` for members (graph, ...) of one batch. On a
+    NonFiniteError each member is built again alone, as a batch of one with
+    what was drawn for it, and the error of the first that fails is raised
+    again naming its graph; the op is named by the error itself."""
+    try:
+        return build(members)
+    except ad.NonFiniteError as exc:
+        for member in members:
+            try:
+                build([member])
+            except ad.NonFiniteError as alone:
+                raise ad.NonFiniteError(f"graph {member[0].graph_id}: {alone}") from exc
+        ids = ", ".join(member[0].graph_id for member in members)
+        raise ad.NonFiniteError(f"batch of graphs {ids}: {exc}") from exc
 
 
 def _reads(tape: ad.Tape, tensor: ad.Tensor) -> bool:
@@ -179,40 +193,53 @@ def proxy_class_weights(graphs: list[FeatureGraph]) -> dict[int, float]:
     return {c: len(graphs) / (len(counts) * n) for c, n in counts.items()}
 
 
-def _graph_loss(graph: FeatureGraph, params: M.ModelParams, config: TrainConfig,
-                rng: np.random.Generator, class_weights: dict[int, float]):
-    """One tape: forward a single graph, return (tape, bound, joint, rec value or None)."""
+def draw_plans(graphs: list[FeatureGraph], config: TrainConfig,
+               rng: np.random.Generator) -> list[M.MaskPlan | None]:
+    """Each graph's mask plan, drawn from `rng` in order; None where the
+    variant does not mask or the graph has a single node."""
+    return [M.sample_mask(g.node_count, config.gamma, rng)
+            if config.uses_masking and g.node_count >= 2 else None
+            for g in graphs]
+
+
+def detector_loss_tape(members: list[tuple[FeatureGraph, M.MaskPlan | None]],
+                    params: M.ModelParams, config: TrainConfig,
+                    class_weights: dict[int, float]):
+    """One tape over a padded batch of (graph, mask plan) members.
+
+    Returns (tape, bound, joint, rec): `joint` is the sum of the members'
+    joint losses and `rec` the sum of their reconstruction losses (a
+    constant 0 when no member is masked). Encoder and decoder share the
+    batch's one propagation stack."""
+    graphs = [g for g, _ in members]
+    batch = M.batch_graphs(graphs)
     tape = ad.Tape()
     bound = M.bind_params(tape, params, trainable=True)
-    x = tape.constant(graph.features)
+    x = tape.constant(batch.features)
 
-    plan = None
-    if config.uses_masking and graph.node_count >= 2:
-        plan = M.sample_mask(graph.node_count, config.gamma, rng)
-        xin = M.apply_mask(x, plan, bound["mask_token"])
-    else:
-        xin = x
+    masked, row_weights = [], []
+    for b, (_, plan) in enumerate(members):
+        if plan is not None:
+            masked += batch.rows(b, plan.masked)
+            row_weights += [1.0 / len(plan.masked)] * len(plan.masked)
+    plan = M.MaskPlan(tuple(masked), config.gamma)
+    h = M.encode(batch, M.apply_mask(x, plan, bound["mask_token"]),
+                 M.encoder_tensors(bound))
+    g = M.readout(h, batch)
 
-    h = M.encode(graph, xin, M.encoder_tensors(bound))
-    g = M.readout(h)
-
+    labels = [graph.label for graph in graphs]
     if config.uses_proxies:
-        cl = ad.scale(contrastive_loss(g, graph.label, bound["proxy_benign"],
-                                       bound["proxy_malicious"]),
-                      class_weights[graph.label])
+        cl = contrastive_loss(g, labels, bound["proxy_benign"], bound["proxy_malicious"],
+                              [class_weights[y] for y in labels])
     else:
-        cl = cross_entropy_logits(M.head_logits(g, M.head_tensors(bound)), graph.label)
+        cl = cross_entropy_logits(M.head_logits(g, M.head_tensors(bound)), labels)
 
-    if plan is not None:
-        z = M.decode(graph, M.remask(h, plan), M.decoder_tensors(bound))
-        rec = reconstruction_loss(x, z, plan)
-        rec_value = float(rec.value)
+    if masked:
+        z = M.decode(batch, M.remask(h, plan), M.decoder_tensors(bound))
+        rec = reconstruction_loss(x, z, plan, row_weights)
     else:
         rec = tape.constant(0.0)
-        rec_value = None
-
-    joint = joint_loss(rec, cl, config.effective_weights())
-    return tape, bound, joint, rec_value
+    return tape, bound, joint_loss(rec, cl, config.effective_weights()), rec
 
 
 def train(train_graphs: list[FeatureGraph], val_graphs: list[FeatureGraph],
@@ -247,20 +274,21 @@ def train(train_graphs: list[FeatureGraph], val_graphs: list[FeatureGraph],
         tic = time.perf_counter()
         sums = {"loss": 0.0, "rec": 0.0, "rec_graphs": 0}
 
-        def graph_loss(graph):
-            tape, bound, joint, rec_value = _graph_loss(graph, params, config, rng,
-                                                        class_weights)
+        def batch_loss(batch):
+            members = list(zip(batch, draw_plans(batch, config, rng)))
+            tape, bound, joint, rec = batch_tape(
+                lambda ms: detector_loss_tape(ms, params, config, class_weights), members)
+            planned = sum(plan is not None for _, plan in members)
             sums["loss"] += float(joint.value)
-            if rec_value is not None:
-                sums["rec"] += rec_value
-                sums["rec_graphs"] += 1
-            counts["mask_samples"] += _reads(tape, bound["mask_token"])
-            counts["decoder_passes"] += _reads(tape, bound["decoder.0"])
+            sums["rec"] += float(rec.value)
+            sums["rec_graphs"] += planned
+            counts["mask_samples"] += planned * _reads(tape, bound["mask_token"])
+            counts["decoder_passes"] += planned * _reads(tape, bound["decoder.0"])
             return tape, bound, joint
 
         try:
             minibatch_epoch(arrays, optimizer, train_graphs, config.batch_size, rng,
-                            graph_loss)
+                            batch_loss)
         except ad.NonFiniteError as exc:  # the message names the graph
             raise TrainingDiverged(f"epoch {epoch}, {exc}") from exc
         try:

@@ -553,14 +553,12 @@ def test_distill_full_batch_epoch_is_one_adam_step_on_the_mean_gradient(arch):
                                  hidden=8, learning_rate=0.05,
                                  batch_size=len(graphs), rng_seed=4)
     want = AT._init_surrogate(arch, D, 8, rng_seed=4)
-    sums = {k: np.zeros_like(v) for k, v in want.weights.items()}
-    for i in np.random.default_rng(4).permutation(len(graphs)):  # the loop's order
-        tape, bound, loss = AT._surrogate_loss(want, graphs[i], graphs[i].label)
-        grads = ad.backward(tape, loss)
-        for name, tensor in bound.items():
-            sums[name] += grads[tensor.tid]
+    order = np.random.default_rng(4).permutation(len(graphs))  # the loop's order
+    tape, bound, loss = AT.surrogate_loss_tape(
+        want, [(graphs[i], graphs[i].label) for i in order])
+    grads = ad.backward(tape, loss)
     T.Adam(want.weights, 0.05).step(
-        want.weights, {k: g * (1.0 / len(graphs)) for k, g in sums.items()})
+        want.weights, {k: grads[t.tid] * (1.0 / len(graphs)) for k, t in bound.items()})
     assert sp.weights.keys() == want.weights.keys()
     for name, arr in want.weights.items():
         assert np.array_equal(sp.weights[name], arr), name

@@ -183,6 +183,23 @@ def test_edge_aggregate_forward_and_gradient():
         ad.edge_aggregate(tx, np.zeros((3, 3)))
 
 
+def test_edge_aggregate_applies_a_stack_blockwise():
+    x = np.arange(12.0).reshape(4, 3)
+    stack = np.array([[[0.0, 0.5], [2.0, 0.0]], [[1.0, 0.0], [0.0, -1.0]]])
+    tape = ad.Tape()
+    out = ad.edge_aggregate(tape.param(x), stack)
+    np.testing.assert_allclose(out.value, np.vstack([stack[0] @ x[:2], stack[1] @ x[2:]]),
+                               atol=0)
+
+    def build(tape, ts):
+        return ad.sum_all(ad.square(ad.edge_aggregate(ts[0], stack)))
+    rep = ad.finite_difference_check(make_closure(build, None), [x], tolerance=1e-5)
+    assert rep.passed, str(rep)
+    for bad in (np.zeros((2, 2, 3)), np.zeros((3, 2, 2)), np.zeros(4)):
+        with pytest.raises(ValueError):
+            ad.edge_aggregate(tape.param(x), bad)
+
+
 def test_edge_aggregate_no_edges_is_zero():
     tape = ad.Tape()
     tx = tape.param(np.ones((3, 2)))

@@ -525,6 +525,26 @@ def test_attack_candidate_policy_is_an_unknown_field_exit_2(workspace, tmp_path,
     assert "unknown field 'candidate_policy'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, field, value", [
+    ("gen-data", "rng_seed", -1), ("train", "rng_seed", -1), ("train", "split_seed", -2),
+    ("train", "learning_rate", "nan"), ("train", "gamma", "inf"),
+    ("attack", "rng_seed", -1), ("attack", "distill_batch_size", 0),
+    ("attack", "distill_epochs", 0), ("attack", "surrogate_hidden", 0),
+    ("attack", "distill_learning_rate", "-1e999")])
+def test_negative_seed_or_unusable_number_exit_2_naming_the_field(
+        workspace, tmp_path, capsys, command, field, value):
+    """Each of these once ended in a traceback, or in a run that diverged."""
+    base = {"gen-data": GEN_KV, "train": TRAIN_KV, "attack": ATTACK_KV}[command]
+    cfg = write_cfg(tmp_path / "c.cfg", **{**base, field: value})
+    argv = {"gen-data": ["gen-data", cfg, str(tmp_path / "d.jsonl")],
+            "train": ["train", workspace["dataset"], cfg, str(tmp_path / "out")],
+            "attack": ["attack", workspace["checkpoint"], workspace["dataset"], cfg,
+                       "--mode", "blackbox", "--surrogate", "gnn2_mlp",
+                       "--out", str(tmp_path / "a.csv")]}[command]
+    assert cli.main(argv) == 2
+    assert field in capsys.readouterr().err
+
+
 # ------------------------------------------------------------------ export
 
 def test_export_embeddings_matches_predict(workspace, tmp_path):

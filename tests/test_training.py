@@ -1,8 +1,14 @@
-"""Training-loop tests: optimizer oracle, early-stop semantics, determinism
-and variant wiring."""
+"""Training-loop tests: optimizer oracle, early-stop semantics, determinism,
+variant wiring, and the padded minibatch tape against per-graph tapes."""
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
+from graphsentry import attacks as AT
+from graphsentry import autodiff as ad
 from graphsentry import model as M
 from graphsentry import training as T
 from graphsentry.graphdata import FeatureGraph
@@ -233,6 +239,165 @@ def test_divergence_aborts_with_diagnostic():
     cfg = small_config(learning_rate=1e200, max_epochs=5)
     with pytest.raises(T.TrainingDiverged, match="epoch"):
         T.train(graphs, graphs, cfg)
+
+
+@pytest.mark.parametrize("variant", T.VARIANTS)
+def test_divergence_in_a_batch_names_the_graph_and_the_op(variant, monkeypatch):
+    # only the culprit has features 4 and 5, whose encoder rows overflow the
+    # first matmul; the batch tape fails, and the replay of each member
+    # alone names the culprit
+    graphs = [FeatureGraph(g.node_count, g.edges, g.features * (np.arange(D) < 4),
+                           g.label, g.graph_id) for g in toy_dataset(3)]
+    culprit = np.zeros((3, D))
+    culprit[:, 4:] = 1.0
+    graphs.insert(3, FeatureGraph(3, [(0, 1), (1, 2)], culprit, 1, "culprit"))
+    init = M.init_params
+
+    def overflowing_init(*args, **kwargs):
+        params = init(*args, **kwargs)
+        params.encoder_weights[0][4:] = 1e308
+        params.mask_token[4:] = 0.0
+        return params
+
+    monkeypatch.setattr(M, "init_params", overflowing_init)
+    cfg = small_config(batch_size=len(graphs), variant=variant)
+    with pytest.raises(T.TrainingDiverged,
+                       match=r"^epoch 1, graph culprit: matmul produced non-finite output$"):
+        T.train(graphs, graphs, cfg)
+
+
+# ------------------------------------------------------------------ batched tape
+
+def odd_graphs():
+    """Sizes 1-7, with a 1-node graph, an isolated node and an edgeless graph."""
+    rng = np.random.default_rng(11)
+    graphs = [FeatureGraph(1, [], np.eye(1, D), 1, "solo"),
+              FeatureGraph(4, [(0, 1), (1, 2)], np.eye(4, D), 0, "isolated"),
+              FeatureGraph(5, [], rng.integers(0, 2, size=(5, D)), 1, "edgeless")]
+    for i, n in enumerate([7, 2, 3, 6, 4, 7, 5, 3]):
+        edges = [(s, t) for s in range(n) for t in range(n)
+                 if s != t and rng.random() < 0.3]
+        graphs.append(FeatureGraph(n, edges, rng.integers(0, 2, size=(n, D)).astype(float),
+                                   i % 2, f"r{i}"))
+    return graphs
+
+
+def reference_detector_loss(graph, plan, params, config, class_weights):
+    """The objective of one graph on its own tape, from the single-graph API
+    and primitive ops: (value, {name: gradient})."""
+    tape = ad.Tape()
+    bound = M.bind_params(tape, params)
+    x = tape.constant(graph.features)
+    xin = M.apply_mask(x, plan, bound["mask_token"]) if plan else x
+    h = M.encode(graph, xin, M.encoder_tensors(bound))
+    g = M.readout(h)
+    if config.uses_proxies:
+        own, other = ((bound["proxy_malicious"], bound["proxy_benign"]) if graph.label
+                      else (bound["proxy_benign"], bound["proxy_malicious"]))
+        pull = ad.square(ad.sub(tape.constant(1.0), ad.cosine(g, own)))
+        cl = ad.scale(ad.add(ad.square(ad.cosine(g, other)), pull),
+                      class_weights[graph.label])
+    else:
+        cl = reference_cross_entropy(M.head_logits(g, M.head_tensors(bound)), graph.label)
+    if plan:
+        z = M.decode(graph, M.remask(h, plan), M.decoder_tensors(bound))
+        idx = list(plan.masked)
+        cos = ad.row_cosine(ad.gather_rows(x, idx), ad.gather_rows(z, idx))
+        rec = ad.mean_all(ad.square(ad.sub(tape.constant(np.ones(len(idx))), cos)))
+    else:
+        rec = tape.constant(0.0)
+    lam = config.effective_weights()
+    joint = ad.add(ad.scale(rec, lam.lambda1), ad.scale(cl, lam.lambda2))
+    grads = ad.backward(tape, joint)
+    return float(joint.value), {name: grads[t.tid] for name, t in bound.items()}
+
+
+def reference_cross_entropy(logits, y):
+    shifted = ad.sub(logits, logits.tape.constant(np.full(2, logits.value.max())))
+    lse = ad.log(ad.sum_all(ad.exp(shifted)))
+    return ad.sub(lse, ad.dot(shifted, logits.tape.constant(np.eye(2)[y])))
+
+
+def reference_surrogate_loss(sp, graph, label):
+    tape = ad.Tape()
+    bound = {k: tape.param(v) for k, v in sp.weights.items()}
+    if sp.architecture == "gnn2_mlp":
+        g = M.readout(M.encode(graph, tape.constant(graph.features),
+                               [bound["enc.0"], bound["enc.1"]]))
+    else:
+        g = tape.constant(AT._degree_summary(graph))
+    loss = reference_cross_entropy(M.head_logits(g, [bound["head.0"], bound["head.1"]]),
+                                   label)
+    grads = ad.backward(tape, loss)
+    return float(loss.value), {name: grads[t.tid] for name, t in bound.items()}
+
+
+def assert_batches_match_per_graph_sums(graphs, batch_size, batched, reference):
+    """Every batch (the last one short) has the loss and gradients of the
+    sum of its members' own tapes, to 1e-12."""
+    assert len(graphs) % batch_size != 0
+    for start in range(0, len(graphs), batch_size):
+        members = graphs[start:start + batch_size]
+        tape, bound, loss = batched(members)
+        grads = ad.backward(tape, loss)
+        singles = [reference(m) for m in members]
+        assert float(loss.value) == pytest.approx(sum(v for v, _ in singles), abs=1e-12)
+        for name, t in bound.items():
+            want = sum(gs[name] for _, gs in singles)
+            np.testing.assert_allclose(grads[t.tid], want, rtol=0, atol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("variant", T.VARIANTS)
+def test_batch_tape_equals_sum_of_per_graph_tapes(variant):
+    graphs = odd_graphs()
+    cfg = small_config(variant=variant)
+    params = M.init_params(D, cfg.hidden, cfg.layers, rng_seed=5)
+    rng = np.random.default_rng(6)
+    params.proxy_benign = rng.normal(size=cfg.hidden)  # margins away from the tie
+    params.proxy_malicious = rng.normal(size=cfg.hidden)
+    if not cfg.uses_proxies:
+        M.init_head(params, 7)
+    weights = T.proxy_class_weights(graphs)
+    members = list(zip(graphs, T.draw_plans(graphs, cfg, np.random.default_rng(8))))
+    assert members[0][1] is None  # the 1-node graph is never masked
+    assert any(plan is not None for _, plan in members) == cfg.uses_masking
+    assert_batches_match_per_graph_sums(
+        members, 4,
+        lambda ms: T.detector_loss_tape(ms, params, cfg, weights)[:3],
+        lambda m: reference_detector_loss(m[0], m[1], params, cfg, weights))
+
+
+@pytest.mark.parametrize("arch", AT.ARCHITECTURES)
+def test_surrogate_batch_tape_equals_sum_of_per_graph_tapes(arch):
+    graphs = odd_graphs()
+    sp = AT._init_surrogate(arch, D, 8, rng_seed=9)
+    members = [(g, i % 2) for i, g in enumerate(graphs)]
+    assert_batches_match_per_graph_sums(
+        members, 4, lambda ms: AT.surrogate_loss_tape(sp, ms),
+        lambda m: reference_surrogate_loss(sp, m[0], m[1]))
+
+
+def test_a_batch_of_large_graphs_stays_small():
+    """One epoch of `full` on 32 graphs of 100-205 nodes holds one (32, m, m)
+    propagation stack, not a dense (N, N) union of 5,000 nodes or more."""
+    script = textwrap.dedent("""
+        import resource
+        from graphsentry import training as T
+        from graphsentry.graphdata import (FeatureSchema, SyntheticConfig,
+                                           generate_synthetic_dataset)
+        graphs = generate_synthetic_dataset(SyntheticConfig(
+            n_graphs=32, benign_node_range=(100, 200), motif_node_count=5,
+            motif_feature_signature="110010101010", malicious_fraction=0.1,
+            background_edge_prob=0.02, rng_seed=3, schema=FeatureSchema(8, 4)))
+        assert sum(g.node_count for g in graphs) > 4000
+        T.train(graphs, graphs[:2], T.TrainConfig(hidden=32, max_epochs=1,
+                                                 batch_size=32, variant="full"))
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+    """)
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, check=True)
+    peak_mb = int(done.stdout.split()[-1]) / 1024
+    assert peak_mb < 250, f"peak RSS {peak_mb:.0f} MB"
 
 
 # ------------------------------------------------------------------ variants
