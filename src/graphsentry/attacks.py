@@ -351,7 +351,7 @@ def edge_saliency_ig(victim, graph: FeatureGraph,
 def _add_edges(graph: FeatureGraph, new_edges: list[tuple[int, int]]) -> FeatureGraph:
     return FeatureGraph(
         node_count=graph.node_count,
-        edges=graph.edges + list(new_edges),
+        edges=np.concatenate([graph.edges, np.reshape(new_edges, (-1, 2))]),
         features=graph.features,
         label=graph.label,
         graph_id=graph.graph_id,

@@ -215,7 +215,9 @@ def load_manifest(path) -> dict:
     if command not in MANIFEST_COMMANDS:
         raise ConfigError(f"{path}: unknown command {command!r}")
     configured, needs, artifacts, choices = MANIFEST_COMMANDS[command]
-    if isinstance(manifest.get("config_text"), str) != configured:
+    if "config_text" not in manifest:
+        raise ConfigError(f"{path}: field 'config_text' is missing")
+    if isinstance(manifest["config_text"], str) != configured:
         raise ConfigError(f"{path}: field 'config_text' must be "
                           f"{'a string' if configured else 'null'} for {command}")
     for name in ("inputs", "artifacts"):

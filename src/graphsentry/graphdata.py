@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import os
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,19 +36,47 @@ class FeatureSchema:
         return self.opcode_dim + self.permission_dim
 
 
+def _edge_array(edges, graph_id: str) -> np.ndarray:
+    """`edges` as a new read-only (E, 2) intp array: (0, 2) for no edges.
+    ValueError unless it is a list of [source, target] pairs of integral
+    numbers; a fraction is never truncated."""
+    try:
+        raw = np.asarray(edges)  # ValueError when ragged or nested too deeply
+        if raw.ndim == 1 and raw.size == 0:
+            raw = raw.reshape(0, 2)
+        if raw.ndim != 2 or raw.shape[1] != 2:
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"graph {graph_id}: edges must be [source, target] "
+                         f"pairs") from None
+    if raw.dtype.kind == "f":
+        # past 2**62 a float is no node id, and past 2**63 it has no intp value
+        whole = np.isfinite(raw) & (np.trunc(raw) == raw) & (np.abs(raw) < 2.0 ** 62)
+        if not whole.all():
+            s, t = raw[np.argmin(whole.all(axis=1))].tolist()
+            raise ValueError(f"graph {graph_id}: edge ({s},{t}) endpoints must be "
+                             f"integers")
+    elif raw.dtype.kind not in "iu":
+        raise ValueError(f"graph {graph_id}: edge endpoints must be integers")
+    out = raw.astype(np.intp)
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(eq=False)
 class FeatureGraph:
-    """A directed call graph with one binary feature row per node."""
+    """A directed call graph with one binary feature row per node. `edges`
+    is a read-only (E, 2) integer array of (source, target) rows."""
 
     node_count: int
-    edges: list[tuple[int, int]]
+    edges: np.ndarray
     features: np.ndarray
     label: int
     graph_id: str
     year_tag: int | None = None
 
     def __post_init__(self):
-        self.edges = [(int(s), int(t)) for s, t in self.edges]
+        self.edges = _edge_array(self.edges, self.graph_id)
         self.features = np.asarray(self.features, dtype=np.float64)
         self.validate()
 
@@ -61,12 +88,26 @@ class FeatureGraph:
             raise ValueError(f"graph {self.graph_id}: feature matrix must have {n} rows, "
                              f"got shape {self.features.shape}")
         vals = self.features
-        if not np.all((vals == 0.0) | (vals == 1.0)):
+        if np.count_nonzero((vals != 0.0) & (vals != 1.0)):
             raise ValueError(f"graph {self.graph_id}: features must be 0/1")
         if self.label not in (0, 1):
             raise ValueError(f"graph {self.graph_id}: label must be 0 or 1, got {self.label}")
-        seen = set()
-        for s, t in self.edges:
+        # Array checks, then a walk only to name the first bad edge. Seen as
+        # unsigned, a negative endpoint is at least n. Few numpy calls, as
+        # most graphs are small: np.count_nonzero costs less than np.any.
+        e = self.edges
+        if len(e) and (e.view(np.uintp).max() >= n or np.count_nonzero(e[:, 0] == e[:, 1])):
+            self._raise_first_bad_edge()
+        keys = e[:, 0] * n + e[:, 1]
+        keys.sort()
+        if np.count_nonzero(keys[1:] == keys[:-1]):
+            self._raise_first_bad_edge()
+
+    def _raise_first_bad_edge(self) -> None:
+        """Walk the edges in order and raise for the first one that is out of
+        range, a self-loop or a repeat of an earlier edge."""
+        n, seen = self.node_count, set()
+        for s, t in self.edges.tolist():
             if not (0 <= s < n and 0 <= t < n):
                 raise ValueError(f"graph {self.graph_id}: edge ({s},{t}) endpoint out of "
                                  f"range for {n} nodes")
@@ -81,7 +122,7 @@ class FeatureGraph:
         return self.features.shape[1]
 
     def edge_set(self) -> set[tuple[int, int]]:
-        return set(self.edges)
+        return set(map(tuple, self.edges.tolist()))
 
 
 @dataclass
@@ -172,7 +213,7 @@ def save_dataset(path, graphs: list[FeatureGraph], schema: FeatureSchema) -> Non
             "id": g.graph_id,
             "label": g.label,
             "n": g.node_count,
-            "edges": [[s, t] for s, t in g.edges],
+            "edges": g.edges.tolist(),
             "x": _rows_to_bits(g.features),
         }
         if g.year_tag is not None:
@@ -180,6 +221,19 @@ def save_dataset(path, graphs: list[FeatureGraph], schema: FeatureSchema) -> Non
         lines.append(canonical_json(rec))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _whole(rec: dict, name: str) -> int:
+    """Field `name` of a dataset record as an int. ValueError naming the
+    record and the field unless it is an integral number: a fraction, a
+    string or a boolean is rejected, never truncated."""
+    value = rec[name]
+    if type(value) is float and value.is_integer():
+        return int(value)
+    if type(value) is not int:
+        raise ValueError(f"record {rec['id']}: field {name!r} must be an integer, "
+                         f"got {value!r}")
+    return value
 
 
 def load_dataset(path) -> tuple[list[FeatureGraph], FeatureSchema]:
@@ -223,7 +277,12 @@ def load_dataset(path) -> tuple[list[FeatureGraph], FeatureSchema]:
         missing = {"id", "label", "n", "edges", "x"} - rec.keys()
         if missing:
             fail(lineno, f"record missing fields {sorted(missing)}")
-        n = rec["n"]
+        try:
+            n = _whole(rec, "n")
+            label = _whole(rec, "label")
+            year = None if rec.get("year") is None else _whole(rec, "year")
+        except ValueError as exc:
+            fail(lineno, str(exc))
         bits = rec["x"]
         if not isinstance(bits, list):
             fail(lineno, f"record {rec['id']}: feature rows must be a list")
@@ -235,12 +294,12 @@ def load_dataset(path) -> tuple[list[FeatureGraph], FeatureSchema]:
                          f"bit strings")
         try:
             g = FeatureGraph(
-                node_count=int(n),
-                edges=[tuple(e) for e in rec["edges"]],
+                node_count=n,
+                edges=rec["edges"],
                 features=feats,
-                label=int(rec["label"]),
+                label=label,
                 graph_id=str(rec["id"]),
-                year_tag=int(rec["year"]) if "year" in rec and rec["year"] is not None else None,
+                year_tag=year,
             )
         except (TypeError, ValueError, OverflowError) as exc:
             fail(lineno, str(exc))
@@ -264,27 +323,24 @@ def extract_behavior_subgraph(fcg: FeatureGraph, seeds: list[int],
         if not 0 <= s < fcg.node_count:
             raise ValueError(f"graph {fcg.graph_id}: seed {s} out of range")
 
-    out_adj: dict[int, list[int]] = {}
-    for s, t in fcg.edges:
-        out_adj.setdefault(s, []).append(t)
+    # Multi-source BFS, one frontier per hop: the depth-bounded ball around
+    # the seed set is the union of per-seed balls.
+    src, dst = fcg.edges[:, 0], fcg.edges[:, 1]
+    reached = np.zeros(fcg.node_count, dtype=bool)
+    reached[seeds] = True
+    frontier = reached.copy()
+    for _ in range(depth):
+        frontier[dst[frontier[src]]] = True
+        frontier &= ~reached
+        if not frontier.any():
+            break
+        reached |= frontier
 
-    # Multi-source BFS: the depth-bounded ball around the seed set equals the
-    # union of per-seed balls, since every node takes its nearest seed's distance.
-    dist = {s: 0 for s in set(seeds)}
-    queue = deque(sorted(dist))
-    while queue:
-        u = queue.popleft()
-        if dist[u] == depth:
-            continue
-        for v in out_adj.get(u, ()):
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-
-    kept = sorted(dist)
-    node_map = {old: new for new, old in enumerate(kept)}
-    sub_edges = [(node_map[s], node_map[t]) for s, t in fcg.edges
-                 if s in node_map and t in node_map]
+    kept = np.flatnonzero(reached)
+    new_id = np.full(fcg.node_count, -1)
+    new_id[kept] = np.arange(len(kept))
+    sub_edges = new_id[fcg.edges[reached[src] & reached[dst]]]
+    node_map = dict(zip(kept.tolist(), range(len(kept))))
     sub = FeatureGraph(
         node_count=len(kept),
         edges=sub_edges,
@@ -329,16 +385,17 @@ def generate_synthetic_dataset(config: SyntheticConfig) -> list[FeatureGraph]:
         feats = _background_features(rng, n_bg, d, signature)
         mask = rng.random((n_bg, n_bg)) < config.background_edge_prob
         np.fill_diagonal(mask, False)
-        edges = np.argwhere(mask).tolist()
+        edges = np.argwhere(mask)
 
         n = n_bg
         if is_mal:
             m = config.motif_node_count
             feats = np.vstack([feats, np.tile(signature, (m, 1))])
-            ring = [(n_bg + j, n_bg + (j + 1) % m) for j in range(m)]
+            motif = n_bg + np.arange(m)
+            ring = np.column_stack([motif, np.roll(motif, -1)])
             wire_in = (int(rng.integers(n_bg)), n_bg + int(rng.integers(m)))
             wire_out = (n_bg + int(rng.integers(m)), int(rng.integers(n_bg)))
-            edges += ring + [wire_in, wire_out]
+            edges = np.concatenate([edges, ring, [wire_in, wire_out]])
             n = n_bg + m
 
         graphs.append(FeatureGraph(

@@ -19,7 +19,6 @@ import binascii
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -135,22 +134,27 @@ class GraphBatch:
 
 def batch_graphs(graphs: list[FeatureGraph]) -> GraphBatch:
     """Pad `graphs` to their largest node count m and stack them; P comes
-    from one `relaxed_propagation` call on the stacked 0/1 adjacency."""
+    from one `relaxed_propagation` call on the stacked 0/1 adjacency, which
+    is one scatter of the batch's edges."""
     if not graphs:
         raise ValueError("a batch needs at least one graph")
     for g in graphs:
         if g.node_count < 1:
             raise ValueError(f"graph {g.graph_id} is empty")
-    count, m = len(graphs), max(g.node_count for g in graphs)
+    count = len(graphs)
+    sizes = np.array([g.node_count for g in graphs])
+    m = int(sizes.max())
+    edges = np.concatenate([g.edges for g in graphs])
+    owner = np.repeat(np.arange(count), [len(g.edges) for g in graphs])
     a = np.zeros((count, m, m))
-    x = np.zeros((count * m, graphs[0].feature_dim))
-    pool = np.zeros((count, count * m))
-    for b, g in enumerate(graphs):
-        n, lo = g.node_count, b * m
-        a[b, :n, :n] = adjacency(g)
-        x[lo:lo + n] = g.features
-        pool[b, lo:lo + n] = 1.0 / n
-    return GraphBatch(m, relaxed_propagation(a)[4], x, pool)
+    a[owner, edges[:, 0], edges[:, 1]] = 1.0
+    real = np.arange(m) < sizes[:, None]  # (B, m): the rows that hold a node
+    x = np.zeros((count, m, graphs[0].feature_dim))
+    x[real] = np.concatenate([g.features for g in graphs])
+    pool = np.zeros((count, count, m))
+    pool[np.arange(count), np.arange(count)] = real / sizes[:, None]
+    return GraphBatch(m, relaxed_propagation(a)[4], x.reshape(count * m, -1),
+                      pool.reshape(count, count * m))
 
 
 def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -228,10 +232,8 @@ def remask(embeddings: ad.Tensor, plan: MaskPlan) -> ad.Tensor:
 
 def adjacency(graph: FeatureGraph) -> np.ndarray:
     """Directed 0/1 adjacency matrix: entry (s, t) is 1 for each edge (s, t)."""
-    flat = np.fromiter(chain.from_iterable(graph.edges), dtype=np.intp,
-                       count=2 * len(graph.edges))
     a = np.zeros((graph.node_count, graph.node_count))
-    a[flat[0::2], flat[1::2]] = 1.0
+    a[graph.edges[:, 0], graph.edges[:, 1]] = 1.0
     return a
 
 

@@ -329,7 +329,7 @@ def test_edge_blind_victim_cannot_be_attacked():
     assert not res.success
     assert res.iterations_used == 6
     assert len(res.edges_added) == 6
-    assert set(res.perturbed.edges) == g.edge_set() | set(res.edges_added)
+    assert res.perturbed.edge_set() == g.edge_set() | set(res.edges_added)
 
 
 def test_threshold_victim_falls_in_one_iteration():
@@ -396,10 +396,10 @@ def test_attack_preserves_original_graph_exactly():
         if M.predict(g, params)[0] != 1:
             continue
         res = AT.whitebox_attack(params, g, cfg(max_iterations=4))
-        assert set(res.perturbed.edges) >= g.edge_set()
+        assert res.perturbed.edge_set() >= g.edge_set()
         assert res.perturbed.features is g.features  # never copied or touched
         assert res.perturbed.node_count == g.node_count
-        assert sorted(res.edges_added) == sorted(set(res.perturbed.edges) - g.edge_set())
+        assert sorted(res.edges_added) == sorted(res.perturbed.edge_set() - g.edge_set())
         assert res.original_edge_count == len(g.edges)
         assert len(res.perturbed.edges) == len(g.edges) + len(res.edges_added)
 

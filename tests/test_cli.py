@@ -336,6 +336,28 @@ def test_eval_malformed_record_field_exit_2(workspace, tmp_path, capsys, field, 
     assert f"{path}:2: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field,value,named", [
+    ("label", "0.9", "field 'label' must be an integer, got 0.9"),
+    ("year", "2019.7", "field 'year' must be an integer, got 2019.7"),
+    ("n", "3.5", "field 'n' must be an integer, got 3.5"),
+    ("edges", "[[0,1],[0.5,1.9]]", "edge (0.5,1.9) endpoints must be integers"),
+], ids=["label", "year", "n", "edges"])
+def test_eval_fractional_number_exit_2_naming_the_field(workspace, tmp_path, capsys,
+                                                         field, value, named):
+    """A fraction used to be truncated: label 0.9 loaded as benign, year
+    2019.7 as 2019 and edge [0.5, 1.9] as (0, 1)."""
+    with open(workspace["dataset"], "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    rec = json.loads(lines[2])
+    lines[2] = json.dumps({**rec, field: None}).replace("null", value)
+    path = tmp_path / "fraction.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    assert cli.main(["eval", workspace["checkpoint"], str(path),
+                     "--out", str(tmp_path / "m.csv")]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}:3: " in err and named in err
+
+
 @pytest.mark.parametrize("line", [1, 2])
 def test_deeply_nested_dataset_line_exit_2_naming_it(workspace, tmp_path, capsys, line):
     with open(workspace["dataset"], "r", encoding="utf-8") as fh:

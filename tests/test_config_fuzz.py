@@ -10,6 +10,7 @@ never in another exception.
 """
 import contextlib
 import io
+import json
 import os
 import re
 
@@ -164,6 +165,19 @@ def test_unmutated_files_pass(files, tmp_path):
     manifest = os.path.join(files["root"], "metrics.csv.manifest.json")
     report = cli.replay_manifest(manifest, str(tmp_path))
     assert report["matched"]
+
+
+@pytest.mark.parametrize("command", ["eval", "export-embeddings"])
+def test_manifest_without_config_text_raises_config_error(files, tmp_path, command):
+    """load_manifest once accepted a scoring manifest with no config_text key,
+    and replay_manifest then raised KeyError."""
+    manifest = json.loads("".join(files["manifest"]))
+    del manifest["config_text"]
+    manifest["command"] = command
+    path = str(tmp_path / "no_config_text.manifest.json")
+    write(path, json.dumps(manifest))
+    with pytest.raises(cli.ConfigError, match="field 'config_text' is missing"):
+        cli.replay_manifest(path, str(tmp_path / "replay"))
 
 
 @pytest.mark.parametrize("kind", sorted(CONFIGS))

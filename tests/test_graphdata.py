@@ -103,6 +103,74 @@ def test_feature_graph_rejects_bad_label():
         make_graph(2, [], label=2)
 
 
+def test_edges_are_a_read_only_integer_array():
+    given_edges = np.array([[0, 1], [2, 0]])
+    g = make_graph(3, given_edges)
+    assert g.edges.dtype == np.intp and g.edges.shape == (2, 2)
+    with pytest.raises(ValueError, match="read-only"):
+        g.edges[0, 0] = 2
+    given_edges[0, 0] = 2  # the graph holds its own copy
+    assert g.edges.tolist() == [[0, 1], [2, 0]]
+    assert make_graph(2, []).edges.shape == (0, 2)
+
+
+@pytest.mark.parametrize("edges,message", [
+    ([(0.5, 1.9)], r"graph g: edge \(0.5,1.9\) endpoints must be integers"),
+    ([(0, 1), (1, float("nan"))], r"graph g: edge \(1.0,nan\) endpoints must be integers"),
+    ([("0", 1)], "graph g: edge endpoints must be integers"),
+    ([(0, 1, 2)], r"graph g: edges must be \[source, target\] pairs"),
+    ([(0, 1), (1, 2, 0)], r"graph g: edges must be \[source, target\] pairs"),
+], ids=["fraction", "nan", "string", "triple", "ragged"])
+def test_feature_graph_rejects_edges_that_are_not_integer_pairs(edges, message):
+    with pytest.raises(ValueError, match=message):
+        make_graph(3, edges)
+
+
+def per_edge_check(n, edges, gid):
+    """The per-edge loop FeatureGraph validated with before it held an array:
+    the message for the first bad edge, in order, or None."""
+    seen = set()
+    for s, t in edges:
+        if not (0 <= s < n and 0 <= t < n):
+            return f"graph {gid}: edge ({s},{t}) endpoint out of range for {n} nodes"
+        if s == t:
+            return f"graph {gid}: self-loop at node {s}"
+        if (s, t) in seen:
+            return f"graph {gid}: duplicate edge ({s},{t})"
+        seen.add((s, t))
+    return None
+
+
+@st.composite
+def edge_lists(draw):
+    """A node count and edges that are mostly legal, with out-of-range
+    endpoints, self-loops and repeats mixed in; sometimes no edges."""
+    n = draw(st.integers(0, 7))
+    legal = st.integers(0, max(n - 1, 0))
+    node = st.one_of(legal, legal, st.integers(-3, n + 2),
+                     st.integers(-10**12, 10**12))
+    edges = draw(st.lists(st.tuples(node, node), max_size=14))
+    if edges and draw(st.booleans()):  # repeat an earlier edge
+        edges.insert(draw(st.integers(1, len(edges))),
+                     edges[draw(st.integers(0, len(edges) - 1))])
+    return n, edges, draw(st.sampled_from(["list", "int64", "float64"]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(edge_lists())
+def test_array_validation_agrees_with_the_per_edge_loop(case):
+    n, edges, form = case
+    want = per_edge_check(n, edges, "p")
+    given_edges = edges if form == "list" else np.array(edges, dtype=form).reshape(-1, 2)
+    try:
+        g = FeatureGraph(n, given_edges, np.zeros((n, 2)), 0, "p")
+    except ValueError as exc:
+        assert str(exc) == want
+    else:
+        assert want is None
+        assert g.edges.tolist() == [list(e) for e in edges]
+
+
 # ------------------------------------------------------------------ file format
 
 def test_save_load_round_trip(tmp_path):
@@ -118,7 +186,7 @@ def test_save_load_round_trip(tmp_path):
     assert [g.graph_id for g in loaded] == ["a", "b", "c"]
     for orig, back in zip(graphs, loaded):
         assert back.node_count == orig.node_count
-        assert back.edges == orig.edges
+        assert np.array_equal(back.edges, orig.edges)
         assert back.label == orig.label
         assert back.year_tag == orig.year_tag
         np.testing.assert_array_equal(back.features, orig.features)
@@ -217,8 +285,16 @@ def test_loader_rejects_bad_bit_row_naming_its_line(tmp_path, row):
 def test_loader_accepts_float_node_count(tmp_path):
     rec = '{"edges":[[0,2]],"id":"f","label":1,"n":3.0,"x":["10101","00000","11111"]}'
     (g,), _ = load_dataset(write_records(tmp_path / "f.jsonl", rec))
-    assert g.node_count == 3 and g.edges == [(0, 2)]
+    assert g.node_count == 3 and g.edges.tolist() == [[0, 2]]
     np.testing.assert_array_equal(g.features[2], np.ones(5))
+
+
+def test_loader_accepts_integral_floats(tmp_path):
+    rec = ('{"edges":[[0.0,2.0]],"id":"f","label":1.0,"n":3,'
+           '"x":["10101","00000","11111"],"year":2019.0}')
+    (g,), _ = load_dataset(write_records(tmp_path / "f.jsonl", rec))
+    assert (g.label, g.year_tag, g.edges.tolist()) == (1, 2019, [[0, 2]])
+    assert type(g.label) is int and type(g.year_tag) is int
 
 
 def test_save_writes_per_row_bit_strings(tmp_path):
@@ -241,14 +317,14 @@ def test_chain_depth_two_keeps_three_nodes():
     sub, node_map = extract_behavior_subgraph(chain(4), [0], 2)
     assert node_map == {0: 0, 1: 1, 2: 2}
     assert sub.node_count == 3
-    assert sub.edges == [(0, 1), (1, 2)]
+    assert sub.edges.tolist() == [[0, 1], [1, 2]]
 
 
 def test_isolated_seed_gives_single_node():
     g = make_graph(3, [(1, 2)])
     sub, node_map = extract_behavior_subgraph(g, [0], 2)
     assert sub.node_count == 1
-    assert sub.edges == []
+    assert sub.edges.shape == (0, 2)
     assert node_map == {0: 0}
 
 
@@ -258,7 +334,7 @@ def test_two_seeds_on_chain_merge_their_balls():
     assert set(node_map) == {0, 1, 3, 4}
     assert sub.node_count == 4
     # kept edges are exactly a->b and d->e, remapped
-    assert sub.edges == [(node_map[0], node_map[1]), (node_map[3], node_map[4])]
+    assert sub.edges.tolist() == [[node_map[0], node_map[1]], [node_map[3], node_map[4]]]
 
 
 def test_extraction_inherits_label_year_and_features():
@@ -298,7 +374,7 @@ def test_extraction_matches_bruteforce_reachability(case, depth):
     # induced edges: every original edge inside the ball, nothing else
     expect = {(node_map[s], node_map[t]) for s, t in g.edges
               if s in node_map and t in node_map}
-    assert set(sub.edges) == expect and len(sub.edges) == len(expect)
+    assert sub.edge_set() == expect and len(sub.edges) == len(expect)
 
 
 @settings(max_examples=40, deadline=None)
@@ -317,7 +393,7 @@ def test_extraction_is_idempotent(case, depth):
     sub1, m1 = extract_behavior_subgraph(g, seeds, depth)
     sub2, m2 = extract_behavior_subgraph(sub1, [m1[s] for s in seeds], depth)
     assert sub2.node_count == sub1.node_count
-    assert sub2.edges == sub1.edges
+    assert np.array_equal(sub2.edges, sub1.edges)
     assert m2 == {i: i for i in range(sub1.node_count)}
     np.testing.assert_array_equal(sub2.features, sub1.features)
 
@@ -344,7 +420,7 @@ def test_synthetic_counts_and_determinism():
     assert sum(g.label for g in graphs) == 1
     again = generate_synthetic_dataset(_small_config())
     for a, b in zip(graphs, again):
-        assert a.graph_id == b.graph_id and a.edges == b.edges
+        assert a.graph_id == b.graph_id and np.array_equal(a.edges, b.edges)
         np.testing.assert_array_equal(a.features, b.features)
 
 
@@ -408,8 +484,8 @@ def test_generator_matches_per_row_resampling_on_one_plus_one_bits(monkeypatch, 
     monkeypatch.setattr(G, "_background_features", per_row_background)
     want = generate_synthetic_dataset(cfg)
     for a, b in zip(got, want, strict=True):
-        assert (a.graph_id, a.label, a.node_count, a.edges) == \
-            (b.graph_id, b.label, b.node_count, b.edges)
+        assert (a.graph_id, a.label, a.node_count, a.edges.tolist()) == \
+            (b.graph_id, b.label, b.node_count, b.edges.tolist())
         assert np.array_equal(a.features, b.features)
 
 

@@ -227,6 +227,34 @@ def test_sparse_propagation_matches_dense_oracle(case):
                                dense_oracle(g, rows, dec, True), atol=1e-10)
 
 
+def padded_one_by_one(graphs):
+    """The (B, m, m) adjacency, (B*m, d) rows and (B, B*m) readout of
+    `graphs`, each graph written into its padded block in turn."""
+    count, m = len(graphs), max(g.node_count for g in graphs)
+    a = np.zeros((count, m, m))
+    x = np.zeros((count * m, graphs[0].feature_dim))
+    pool = np.zeros((count, count * m))
+    for b, g in enumerate(graphs):
+        n, lo = g.node_count, b * m
+        for s, t in g.edges.tolist():
+            a[b, s, t] = 1.0
+        x[lo:lo + n] = g.features
+        pool[b, lo:lo + n] = 1.0 / n
+    return a, x, pool
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(random_case(), min_size=1, max_size=5))
+def test_batch_graphs_equals_padding_one_graph_at_a_time(cases):
+    graphs = [make_graph(n, edges, d=3, seed=seed) for n, edges, seed in cases]
+    batch = M.batch_graphs(graphs)
+    a, x, pool = padded_one_by_one(graphs)
+    assert batch.width == a.shape[1]
+    assert np.array_equal(batch.propagation, M.relaxed_propagation(a)[4])
+    assert np.array_equal(batch.features, x)
+    assert np.array_equal(batch.pool, pool)
+
+
 @settings(max_examples=30, deadline=None)
 @given(random_case())
 def test_encode_is_permutation_equivariant(case):
