@@ -36,10 +36,26 @@ class FeatureSchema:
         return self.opcode_dim + self.permission_dim
 
 
-def _edge_array(edges, graph_id: str) -> np.ndarray:
+def _raise_first_bad_edge(pairs, n: int, graph_id: str) -> None:
+    """Walk `pairs` of Python ints in order and raise for the first one that
+    is out of range, a self-loop or a repeat of an earlier pair."""
+    seen = set()
+    for s, t in pairs:
+        if not (0 <= s < n and 0 <= t < n):
+            raise ValueError(f"graph {graph_id}: edge ({s},{t}) endpoint out of "
+                             f"range for {n} nodes")
+        if s == t:
+            raise ValueError(f"graph {graph_id}: self-loop at node {s}")
+        if (s, t) in seen:
+            raise ValueError(f"graph {graph_id}: duplicate edge ({s},{t})")
+        seen.add((s, t))
+
+
+def _edge_array(edges, n: int, graph_id: str) -> np.ndarray:
     """`edges` as a new read-only (E, 2) intp array: (0, 2) for no edges.
     ValueError unless it is a list of [source, target] pairs of integral
-    numbers; a fraction is never truncated."""
+    numbers; a fraction or a boolean is never read as a number. An endpoint
+    too large for intp fails as out of range for the `n` nodes."""
     try:
         raw = np.asarray(edges)  # ValueError when ragged or nested too deeply
         if raw.ndim == 1 and raw.size == 0:
@@ -49,15 +65,33 @@ def _edge_array(edges, graph_id: str) -> np.ndarray:
     except ValueError:
         raise ValueError(f"graph {graph_id}: edges must be [source, target] "
                          f"pairs") from None
-    if raw.dtype.kind == "f":
-        # past 2**62 a float is no node id, and past 2**63 it has no intp value
-        whole = np.isfinite(raw) & (np.trunc(raw) == raw) & (np.abs(raw) < 2.0 ** 62)
+    kind = raw.dtype.kind
+    if kind in "iuf" and not isinstance(edges, np.ndarray) and len(raw):
+        # A boolean beside numbers reads as 0 or 1, so only an endpoint of at
+        # most 1 can be one.
+        for i in np.flatnonzero(raw.ravel() <= 1).tolist():
+            if isinstance(edges[i >> 1][i & 1], (bool, np.bool_)):
+                s, t = edges[i >> 1]
+                raise ValueError(f"graph {graph_id}: edge ({s},{t}) endpoints must "
+                                 f"be integers")
+    too_large = False
+    if kind == "f":
+        whole = np.isfinite(raw) & (np.trunc(raw) == raw)
         if not whole.all():
             s, t = raw[np.argmin(whole.all(axis=1))].tolist()
             raise ValueError(f"graph {graph_id}: edge ({s},{t}) endpoints must be "
                              f"integers")
-    elif raw.dtype.kind not in "iu":
+        # past 2**62 a float is no node id, and past 2**63 it has no intp value
+        too_large = len(raw) and np.abs(raw).max() >= 2.0 ** 62
+    elif kind == "u":
+        too_large = len(raw) and raw.max() > np.iinfo(np.intp).max
+    elif kind == "O" and all(type(v) is int for v in raw.flat):
+        too_large = True  # integers past the int64 range
+    elif kind != "i":
         raise ValueError(f"graph {graph_id}: edge endpoints must be integers")
+    if too_large:
+        pairs = raw.tolist() if isinstance(edges, np.ndarray) else edges
+        _raise_first_bad_edge([(int(s), int(t)) for s, t in pairs], n, graph_id)
     out = raw.astype(np.intp)
     out.flags.writeable = False
     return out
@@ -76,7 +110,7 @@ class FeatureGraph:
     year_tag: int | None = None
 
     def __post_init__(self):
-        self.edges = _edge_array(self.edges, self.graph_id)
+        self.edges = _edge_array(self.edges, self.node_count, self.graph_id)
         self.features = np.asarray(self.features, dtype=np.float64)
         self.validate()
 
@@ -97,25 +131,11 @@ class FeatureGraph:
         # most graphs are small: np.count_nonzero costs less than np.any.
         e = self.edges
         if len(e) and (e.view(np.uintp).max() >= n or np.count_nonzero(e[:, 0] == e[:, 1])):
-            self._raise_first_bad_edge()
+            _raise_first_bad_edge(e.tolist(), n, self.graph_id)
         keys = e[:, 0] * n + e[:, 1]
         keys.sort()
         if np.count_nonzero(keys[1:] == keys[:-1]):
-            self._raise_first_bad_edge()
-
-    def _raise_first_bad_edge(self) -> None:
-        """Walk the edges in order and raise for the first one that is out of
-        range, a self-loop or a repeat of an earlier edge."""
-        n, seen = self.node_count, set()
-        for s, t in self.edges.tolist():
-            if not (0 <= s < n and 0 <= t < n):
-                raise ValueError(f"graph {self.graph_id}: edge ({s},{t}) endpoint out of "
-                                 f"range for {n} nodes")
-            if s == t:
-                raise ValueError(f"graph {self.graph_id}: self-loop at node {s}")
-            if (s, t) in seen:
-                raise ValueError(f"graph {self.graph_id}: duplicate edge ({s},{t})")
-            seen.add((s, t))
+            _raise_first_bad_edge(e.tolist(), n, self.graph_id)
 
     @property
     def feature_dim(self) -> int:

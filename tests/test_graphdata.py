@@ -120,7 +120,14 @@ def test_edges_are_a_read_only_integer_array():
     ([("0", 1)], "graph g: edge endpoints must be integers"),
     ([(0, 1, 2)], r"graph g: edges must be \[source, target\] pairs"),
     ([(0, 1), (1, 2, 0)], r"graph g: edges must be \[source, target\] pairs"),
-], ids=["fraction", "nan", "string", "triple", "ragged"])
+    ([(0, 1), (2, True)], r"graph g: edge \(2,True\) endpoints must be integers"),
+    ([(True, 2.0)], r"graph g: edge \(True,2.0\) endpoints must be integers"),
+    ([(0, 1), (2**63, 1)],
+     r"graph g: edge \(9223372036854775808,1\) endpoint out of range for 3 nodes"),
+    ([(2**64, 1)],
+     r"graph g: edge \(18446744073709551616,1\) endpoint out of range for 3 nodes"),
+], ids=["fraction", "nan", "string", "triple", "ragged", "boolean", "boolean-float",
+        "past-int64", "past-uint64"])
 def test_feature_graph_rejects_edges_that_are_not_integer_pairs(edges, message):
     with pytest.raises(ValueError, match=message):
         make_graph(3, edges)
@@ -144,16 +151,18 @@ def per_edge_check(n, edges, gid):
 @st.composite
 def edge_lists(draw):
     """A node count and edges that are mostly legal, with out-of-range
-    endpoints, self-loops and repeats mixed in; sometimes no edges."""
+    endpoints, self-loops and repeats mixed in; sometimes no edges. Only a
+    list may hold endpoints past the int64 range."""
     n = draw(st.integers(0, 7))
+    form = draw(st.sampled_from(["list", "int64", "float64"]))
     legal = st.integers(0, max(n - 1, 0))
-    node = st.one_of(legal, legal, st.integers(-3, n + 2),
-                     st.integers(-10**12, 10**12))
+    far = 2**70 if form == "list" else 10**12
+    node = st.one_of(legal, legal, st.integers(-3, n + 2), st.integers(-far, far))
     edges = draw(st.lists(st.tuples(node, node), max_size=14))
     if edges and draw(st.booleans()):  # repeat an earlier edge
         edges.insert(draw(st.integers(1, len(edges))),
                      edges[draw(st.integers(0, len(edges) - 1))])
-    return n, edges, draw(st.sampled_from(["list", "int64", "float64"]))
+    return n, edges, form
 
 
 @settings(max_examples=400, deadline=None)
@@ -283,18 +292,16 @@ def test_loader_rejects_bad_bit_row_naming_its_line(tmp_path, row):
 
 
 def test_loader_accepts_float_node_count(tmp_path):
-    rec = '{"edges":[[0,2]],"id":"f","label":1,"n":3.0,"x":["10101","00000","11111"]}'
-    (g,), _ = load_dataset(write_records(tmp_path / "f.jsonl", rec))
-    assert g.node_count == 3 and g.edges.tolist() == [[0, 2]]
-    np.testing.assert_array_equal(g.features[2], np.ones(5))
-
-
-def test_loader_accepts_integral_floats(tmp_path):
-    rec = ('{"edges":[[0.0,2.0]],"id":"f","label":1.0,"n":3,'
-           '"x":["10101","00000","11111"],"year":2019.0}')
-    (g,), _ = load_dataset(write_records(tmp_path / "f.jsonl", rec))
-    assert (g.label, g.year_tag, g.edges.tolist()) == (1, 2019, [[0, 2]])
-    assert type(g.label) is int and type(g.year_tag) is int
+    """An integral float reads as its integer in each integer field."""
+    rec = {"edges": [[0, 2]], "id": "f", "label": 1, "n": 3,
+           "x": ["10101", "00000", "11111"], "year": 2019}
+    floats = {"n": 3.0, "label": 1.0, "year": 2019.0, "edges": [[0.0, 2.0]]}
+    for field, value in floats.items():
+        path = write_records(tmp_path / f"{field}.jsonl", json.dumps({**rec, field: value}))
+        (g,), _ = load_dataset(path)
+        assert (g.node_count, g.label, g.year_tag, g.edges.tolist()) == (3, 1, 2019, [[0, 2]])
+        assert {type(g.node_count), type(g.label), type(g.year_tag)} == {int}
+        np.testing.assert_array_equal(g.features[2], np.ones(5))
 
 
 def test_save_writes_per_row_bit_strings(tmp_path):
