@@ -106,6 +106,7 @@ class AttackSummary:
     apr_defined: bool
     attempted: int
     succeeded: int
+    edgeless_successes: int  # successes on an edgeless original, left out of APR
 
 
 # ------------------------------------------------------------------ relaxed forward
@@ -189,21 +190,28 @@ def _logits_head(w0: np.ndarray, w1: np.ndarray):
     return _fixed_rows(head)
 
 
+def _degree_summary(x: np.ndarray, a_batch: np.ndarray) -> np.ndarray:
+    """(B, d+1) rows [mean row of the (n, d) features, relaxed degree sum /
+    (n(n-1))], one per (B, n, n) adjacency. At 0/1 entries the degree sum is
+    the integer sum of max(A, A^T), whatever the order of summation."""
+    B, n, _ = a_batch.shape
+    deg = M.relaxed_propagation(a_batch)[1]
+    return np.concatenate([
+        np.broadcast_to(x.mean(axis=0), (B, x.shape[1])),
+        deg.sum(axis=1)[:, None] / max(n * (n - 1), 1),
+    ], axis=1)
+
+
 def _margin_grad_degree_mlp(weights: dict, x: np.ndarray,
                             a_batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """MLP over [mean feature row, mean normalized degree]; adjacency enters
-    only through the degree summary."""
-    B, n, _ = a_batch.shape
-    s, deg, live, r, p, at = M.relaxed_propagation(a_batch)
-    norm = max(n * (n - 1), 1)
-    phi = np.concatenate([
-        np.broadcast_to(x.mean(axis=0), (B, x.shape[1])),
-        deg.sum(axis=1)[:, None] / norm,
-    ], axis=1)
+    """MLP over `_degree_summary`; adjacency enters only through the degree
+    sum, whose derivative by S is 1 everywhere."""
+    n = a_batch.shape[1]
     head = _logits_head(weights["head.0"], weights["head.1"])
-    f, dphi = head(phi)
-    ds = np.broadcast_to((dphi[:, -1] / norm)[:, None, None], s.shape)
-    da = (ds + np.transpose(ds, (0, 2, 1))) * (1.0 - at)
+    f, dphi = head(_degree_summary(x, a_batch))
+    ds = np.broadcast_to((dphi[:, -1] / max(n * (n - 1), 1))[:, None, None],
+                         a_batch.shape)
+    da = (ds + np.transpose(ds, (0, 2, 1))) * (1.0 - np.swapaxes(a_batch, 1, 2))
     idx = np.arange(n)
     da[:, idx, idx] = 0.0
     return f, da
@@ -246,7 +254,7 @@ class SurrogateVictim:
                                  [w["enc.0"], w["enc.1"]])
             g = hs[-1].mean(axis=0)
         else:
-            g = _degree_summary(graph)
+            g = _degree_summary(graph.features, M.adjacency(graph)[None])[0]
         u = w["head.1"][:, 0] - w["head.1"][:, 1]  # margin = logit_benign - logit_malicious
         return float(np.maximum(g @ w["head.0"], 0.0) @ u)
 
@@ -433,15 +441,6 @@ def blackbox_attack(victim_label_fn, surrogate, graph: FeatureGraph,
 # ------------------------------------------------------------------ distillation
 
 
-def _degree_summary(graph: FeatureGraph) -> np.ndarray:
-    a = M.adjacency(graph)
-    s = np.maximum(a, a.T)
-    n = graph.node_count
-    norm = max(n * (n - 1), 1)
-    return np.concatenate([graph.features.mean(axis=0),
-                           [s.sum() / norm]])
-
-
 def _init_surrogate(architecture: str, d: int, hidden: int,
                     rng_seed: int) -> SurrogateParams:
     if architecture == "gnn2_mlp":
@@ -469,7 +468,9 @@ def surrogate_loss_tape(sp: SurrogateParams, members: list[tuple[FeatureGraph, i
                      [bound["enc.0"], bound["enc.1"]])
         g = M.readout(h, batch)
     else:
-        g = tape.constant(np.stack([_degree_summary(graph) for graph in graphs]))
+        g = tape.constant(np.concatenate([_degree_summary(graph.features,
+                                                          M.adjacency(graph)[None])
+                                          for graph in graphs]))
     logits = M.head_logits(g, [bound["head.0"], bound["head.1"]])
     loss = cross_entropy_logits(logits, [y for _, y in members])
     return tape, bound, loss
@@ -512,21 +513,20 @@ def distill_surrogate(victim_label_fn, train_graphs: list[FeatureGraph],
 
 
 def compute_asr_apr(results: list[AttackResult]) -> AttackSummary:
-    """ASR over all attempts; APR averaged over successful attacks only,
-    flagged undefined (reported as 0) when nothing succeeded."""
+    """ASR over all attempts; APR averaged over the successful attacks on an
+    original with edges, as the ratio is undefined without them. The other
+    successes are counted apart; APR is flagged undefined (reported as 0)
+    when no success has edges."""
     if not results:
         raise ValueError("no attack results to summarize")
     succ = [r for r in results if r.success]
-    ratios = []
-    for r in succ:
-        if r.original_edge_count == 0:
-            raise ValueError(f"{r.original_id}: perturbation ratio undefined for "
-                             f"an edgeless original")
-        ratios.append(len(r.edges_added) / r.original_edge_count)
+    ratios = [len(r.edges_added) / r.original_edge_count
+              for r in succ if r.original_edge_count > 0]
     return AttackSummary(
         asr=len(succ) / len(results),
         apr=float(np.mean(ratios)) if ratios else 0.0,
         apr_defined=bool(ratios),
         attempted=len(results),
         succeeded=len(succ),
+        edgeless_successes=len(succ) - len(ratios),
     )

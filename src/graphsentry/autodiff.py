@@ -345,18 +345,17 @@ def tile_rows(v: Tensor, k: int) -> Tensor:
 
 
 def edge_aggregate(x: Tensor, p: np.ndarray) -> Tensor:
-    """Neighbour sum through a constant propagation matrix: p @ x for an
-    (n, n) p, or for a (B, m, m) stack blockwise over the B*m rows of x, where
-    block b (rows b*m .. b*m+m-1) is propagated by p[b]."""
+    """Neighbour sum through a constant (B, m, m) stack of propagation
+    matrices, blockwise over the B*m rows of x: block b (rows b*m ..
+    b*m+m-1) is propagated by p[b]."""
     xv = x.value
-    stack = p[None] if p.ndim == 2 else p
-    if (stack.ndim != 3 or stack.shape[1] != stack.shape[2] or xv.ndim != 2
-            or xv.shape[0] != stack.shape[0] * stack.shape[1]):
+    if (p.ndim != 3 or p.shape[1] != p.shape[2] or xv.ndim != 2
+            or xv.shape[0] != p.shape[0] * p.shape[1]):
         raise ValueError(f"edge_aggregate: {p.shape} matrix for {xv.shape} rows")
-    blocks = (stack.shape[0], stack.shape[1], xv.shape[1])
-    back = np.swapaxes(stack, 1, 2)
+    blocks = (p.shape[0], p.shape[1], xv.shape[1])
+    back = np.swapaxes(p, 1, 2)
     with np.errstate(over="ignore", invalid="ignore"):  # blowups become NonFiniteError
-        out = (stack @ xv.reshape(blocks)).reshape(xv.shape)
+        out = (p @ xv.reshape(blocks)).reshape(xv.shape)
     return x.tape.emit("edge_aggregate", (x,), out,
                        lambda g: ((x.tid, (back @ g.reshape(blocks)).reshape(g.shape)),))
 

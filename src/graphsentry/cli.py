@@ -587,7 +587,8 @@ def cmd_attack(args) -> None:
                    f"# apr,{_fmt(summary.apr)}",
                    f"# apr_defined,{summary.apr_defined}",
                    f"# attempted,{summary.attempted}",
-                   f"# succeeded,{summary.succeeded}"]
+                   f"# succeeded,{summary.succeeded}",
+                   f"# edgeless_successes,{summary.edgeless_successes}"]
     else:
         summary = None
         trailer = ["# attempted,0", "# population,empty"]

@@ -1,8 +1,8 @@
 """Graph data model and dataset plumbing.
 
-Covers the on-disk graph line format, breadth-first behavior-subgraph
-extraction, a synthetic corpus generator with planted malicious motifs,
-and the stratified train/validation/test split protocol.
+Covers the on-disk graph line format, a synthetic corpus generator with
+planted malicious motifs, and the stratified train/validation/test split
+protocol.
 """
 from __future__ import annotations
 
@@ -58,7 +58,7 @@ def _edge_array(edges, n: int, graph_id: str) -> np.ndarray:
     too large for intp fails as out of range for the `n` nodes."""
     try:
         raw = np.asarray(edges)  # ValueError when ragged or nested too deeply
-        if raw.ndim == 1 and raw.size == 0:
+        if raw.shape == (0,):
             raw = raw.reshape(0, 2)
         if raw.ndim != 2 or raw.shape[1] != 2:
             raise ValueError
@@ -193,7 +193,7 @@ def _bits_to_row(bits: str) -> np.ndarray:
                        count=len(bits))
 
 
-def _rows_to_bits(features: np.ndarray) -> list[str]:
+def _bit_strings(features: np.ndarray) -> list[str]:
     """Each row of a 0/1 matrix as a string of '0'/'1' characters: the
     character codes, viewed d at a time as one string."""
     n, d = features.shape
@@ -234,7 +234,7 @@ def save_dataset(path, graphs: list[FeatureGraph], schema: FeatureSchema) -> Non
             "label": g.label,
             "n": g.node_count,
             "edges": g.edges.tolist(),
-            "x": _rows_to_bits(g.features),
+            "x": _bit_strings(g.features),
         }
         if g.year_tag is not None:
             rec["year"] = int(g.year_tag)
@@ -325,51 +325,6 @@ def load_dataset(path) -> tuple[list[FeatureGraph], FeatureSchema]:
             fail(lineno, str(exc))
         graphs.append(g)
     return graphs, schema
-
-
-def extract_behavior_subgraph(fcg: FeatureGraph, seeds: list[int],
-                              depth: int) -> tuple[FeatureGraph, dict[int, int]]:
-    """BFS out from sensitive seed nodes and keep everything within `depth` hops.
-
-    Follows out-edges only (caller to callee). Returns the induced subgraph with
-    nodes relabeled 0..k-1 in ascending original-id order, plus the old-to-new map.
-    """
-    if not seeds:
-        raise ValueError(f"graph {fcg.graph_id}: no seed nodes given; graphs without "
-                         f"sensitive calls are rejected")
-    if depth < 0:
-        raise ValueError("depth must be non-negative")
-    for s in seeds:
-        if not 0 <= s < fcg.node_count:
-            raise ValueError(f"graph {fcg.graph_id}: seed {s} out of range")
-
-    # Multi-source BFS, one frontier per hop: the depth-bounded ball around
-    # the seed set is the union of per-seed balls.
-    src, dst = fcg.edges[:, 0], fcg.edges[:, 1]
-    reached = np.zeros(fcg.node_count, dtype=bool)
-    reached[seeds] = True
-    frontier = reached.copy()
-    for _ in range(depth):
-        frontier[dst[frontier[src]]] = True
-        frontier &= ~reached
-        if not frontier.any():
-            break
-        reached |= frontier
-
-    kept = np.flatnonzero(reached)
-    new_id = np.full(fcg.node_count, -1)
-    new_id[kept] = np.arange(len(kept))
-    sub_edges = new_id[fcg.edges[reached[src] & reached[dst]]]
-    node_map = dict(zip(kept.tolist(), range(len(kept))))
-    sub = FeatureGraph(
-        node_count=len(kept),
-        edges=sub_edges,
-        features=fcg.features[kept],
-        label=fcg.label,
-        graph_id=fcg.graph_id,
-        year_tag=fcg.year_tag,
-    )
-    return sub, node_map
 
 
 def _background_features(rng: np.random.Generator, n: int, d: int,

@@ -22,30 +22,23 @@ class LossWeights:
 
 
 def _labels(y, rows: int) -> np.ndarray:
-    """0/1 labels, one per row: an int for a single row, or a sequence."""
-    labels = np.atleast_1d(np.asarray(y))
+    """A sequence of 0/1 labels, one per row."""
+    labels = np.asarray(y)
     if labels.shape != (rows,):
-        raise ValueError(f"{labels.size} labels for {rows} rows")
+        raise ValueError(f"labels of shape {labels.shape} for {rows} rows")
     if not np.all((labels == 0) | (labels == 1)):
         raise ValueError(f"label must be 0 or 1, got {y}")
     return labels.astype(np.float64)
 
 
-def _rows(t: ad.Tensor) -> ad.Tensor:
-    """A (d,) vector as one (1, d) row; rows stay as they are."""
-    return ad.tile_rows(t, 1) if t.value.ndim == 1 else t
-
-
 def reconstruction_loss(x: ad.Tensor, z: ad.Tensor, plan: MaskPlan,
-                        row_weights=None) -> ad.Tensor:
+                        row_weights) -> ad.Tensor:
     """Sum over masked rows v of w_v (1 - cos(x_v, z_v))^2, each term in [0,4].
-    By default w_v = 1/|masked|, the mean over one graph's masked rows; a
-    batch weighs each row by 1/(its graph's masked count)."""
+    Training weighs each row by 1/(its graph's masked count), so each graph
+    adds the mean over its masked rows."""
     if not plan.masked:
         raise ValueError("reconstruction loss needs at least one masked node")
     idx = list(plan.masked)
-    if row_weights is None:
-        row_weights = np.full(len(idx), 1.0 / len(idx))
     xm = ad.gather_rows(x, idx)
     zm = ad.gather_rows(z, idx)
     cos = ad.row_cosine(xm, zm)
@@ -57,16 +50,15 @@ def contrastive_loss(g: ad.Tensor, y, p0: ad.Tensor, p1: ad.Tensor,
                      weights=None) -> ad.Tensor:
     """Pull each graph embedding toward its class proxy, push from the other.
 
-    y=1: cos(g,p0)^2 + (1-cos(g,p1))^2; y=0 swaps the proxy roles. `g` is one
-    (h,) embedding with an int label, or (B, h) rows with B labels, summed
-    with per-row `weights` (default 1).
+    y=1: cos(g,p0)^2 + (1-cos(g,p1))^2; y=0 swaps the proxy roles. `g` holds
+    (B, h) embedding rows with B labels, summed with per-row `weights`
+    (default 1).
     """
-    rows = _rows(g)
-    count = rows.value.shape[0]
+    count = g.value.shape[0]
     labels = _labels(y, count)
     tape = g.tape
-    c0 = ad.row_cosine(rows, ad.tile_rows(p0, count))
-    c1 = ad.row_cosine(rows, ad.tile_rows(p1, count))
+    c0 = ad.row_cosine(g, ad.tile_rows(p0, count))
+    c1 = ad.row_cosine(g, ad.tile_rows(p1, count))
     # (y - c1)^2 + (1 - y - c0)^2 is pull + push for either label
     terms = ad.add(ad.square(ad.sub(tape.constant(labels), c1)),
                    ad.square(ad.sub(tape.constant(1.0 - labels), c0)))
@@ -80,17 +72,16 @@ def joint_loss(l_rec: ad.Tensor, l_cl: ad.Tensor, weights: LossWeights) -> ad.Te
 
 def cross_entropy_logits(logits: ad.Tensor, y) -> ad.Tensor:
     """Two-class cross-entropy from raw logits, used by the MLP-head variants:
-    of one (2,) logit pair and an int label, or summed over (B, 2) rows.
+    summed over (B, 2) rows with B labels.
 
     Computed per row as logsumexp(logits - max) - logit_y with the max
     detached, which keeps exp in range without changing the gradient.
     """
-    rows = _rows(logits)
-    count = rows.value.shape[0]
+    count = logits.value.shape[0]
     labels = _labels(y, count).astype(np.intp)
     tape = logits.tape
-    shift = tape.constant(np.repeat(rows.value.max(axis=1, keepdims=True), 2, axis=1))
-    shifted = ad.sub(rows, shift)
+    shift = tape.constant(np.repeat(logits.value.max(axis=1, keepdims=True), 2, axis=1))
+    shifted = ad.sub(logits, shift)
     lse = ad.log(ad.matmul(ad.exp(shifted), tape.constant(np.ones((2, 1)))))
     pick = tape.constant(np.eye(2)[labels])
     return ad.sub(ad.sum_all(lse), ad.sum_all(ad.mul(shifted, pick)))

@@ -6,11 +6,11 @@ weight, through ReLU. Neighborhoods are taken on the symmetrized edge set.
 One normalization (`relaxed_propagation`) gives the dense (n, n) matrix P
 that training, inference and the attack all propagate through; at 0/1
 adjacency it is `propagation_terms`. Training runs the layers on a tape
-(`_gnn_forward`), over one graph or a padded minibatch (`GraphBatch`, whose
-(B, m, m) stack of P comes from one `relaxed_propagation` call); inference
-and the attack run the same layers in plain numpy (`gnn_layers`). The module
-holds no mutable state: a training run counts its own masking and decoding
-from its tapes.
+(`_gnn_forward`) over a padded minibatch (`GraphBatch`, whose (B, m, m) stack
+of P comes from one `relaxed_propagation` call), one graph being a batch of
+one; inference and the attack run the same layers in plain numpy
+(`gnn_layers`). The module holds no mutable state: a training run counts its
+own masking and decoding from its tapes.
 """
 from __future__ import annotations
 
@@ -271,9 +271,16 @@ def gnn_layers(p: np.ndarray, x: np.ndarray, weights: list[np.ndarray]):
     return hs, qs
 
 
-def _gnn_forward(features: ad.Tensor, p: np.ndarray, weights: list[ad.Tensor],
+def _require_batch(batch) -> GraphBatch:
+    if not isinstance(batch, GraphBatch):
+        raise ValueError(f"expected a GraphBatch, got a {type(batch).__name__}")
+    return batch
+
+
+def _gnn_forward(features: ad.Tensor, batch: GraphBatch, weights: list[ad.Tensor],
                  final_linear: bool) -> ad.Tensor:
-    """`gnn_layers` on a tape, for training; the last layer may stay linear."""
+    """`gnn_layers` on a tape over a batch's rows; the last layer may stay linear."""
+    p = _require_batch(batch).propagation
     h = features
     for i, w in enumerate(weights):
         z = ad.matmul(ad.add(h, ad.edge_aggregate(h, p)), w)
@@ -281,38 +288,25 @@ def _gnn_forward(features: ad.Tensor, p: np.ndarray, weights: list[ad.Tensor],
     return h
 
 
-def _rows_and_propagation(graph: FeatureGraph | GraphBatch):
-    if isinstance(graph, GraphBatch):
-        return graph.features.shape[0], graph.propagation
-    return graph.node_count, propagation_terms(graph)
-
-
-def encode(graph: FeatureGraph | GraphBatch, features: ad.Tensor,
+def encode(batch: GraphBatch, features: ad.Tensor,
            encoder_weights: list[ad.Tensor]) -> ad.Tensor:
-    """L propagation layers with ReLU; isolated nodes keep only their self
-    term. `graph` is one graph, or a GraphBatch whose rows `features` holds."""
-    rows, p = _rows_and_propagation(graph)
-    if features.value.shape[0] != rows:
-        raise ValueError("feature row count does not match the graph")
-    return _gnn_forward(features, p, encoder_weights, final_linear=False)
+    """L propagation layers with ReLU over the B*m node rows of `batch` that
+    `features` holds; isolated nodes keep only their self term."""
+    return _gnn_forward(features, batch, encoder_weights, final_linear=False)
 
 
-def decode(graph: FeatureGraph | GraphBatch, remasked: ad.Tensor,
+def decode(batch: GraphBatch, remasked: ad.Tensor,
            decoder_weights: list[ad.Tensor]) -> ad.Tensor:
     """Same propagation rule; the final layer is linear so reconstructions can
     approach binary targets from both sides."""
-    return _gnn_forward(remasked, _rows_and_propagation(graph)[1], decoder_weights,
-                        final_linear=True)
+    return _gnn_forward(remasked, batch, decoder_weights, final_linear=True)
 
 
-def readout(node_embeddings: ad.Tensor, batch: GraphBatch | None = None) -> ad.Tensor:
-    """Mean pooling over nodes: a (h,) vector for one graph, or (B, h) rows,
-    one per graph of `batch`, whose padding rows get weight 0."""
-    if node_embeddings.value.shape[0] < 1:
-        raise ValueError("readout needs at least one node")
-    if batch is None:
-        return ad.mean_rows(node_embeddings)
-    return ad.matmul(node_embeddings.tape.constant(batch.pool), node_embeddings)
+def readout(node_embeddings: ad.Tensor, batch: GraphBatch) -> ad.Tensor:
+    """Mean pooling over nodes: (B, h) rows, one per graph of `batch`, whose
+    padding rows get weight 0."""
+    pool = _require_batch(batch).pool
+    return ad.matmul(node_embeddings.tape.constant(pool), node_embeddings)
 
 
 def bind_params(tape: ad.Tape, params: ModelParams,
@@ -345,10 +339,8 @@ def head_tensors(bound: dict[str, ad.Tensor]) -> list[ad.Tensor]:
 
 def head_logits(g: ad.Tensor, head_weights: list[ad.Tensor]) -> ad.Tensor:
     """2-logit MLP head used by the non-contrastive variants: (B, 2) logits of
-    (B, h) embedding rows, or (2,) of one (h,) embedding."""
-    rows = ad.tile_rows(g, 1) if g.value.ndim == 1 else g
-    logits = ad.matmul(ad.relu(ad.matmul(rows, head_weights[0])), head_weights[1])
-    return ad.mean_rows(logits) if g.value.ndim == 1 else logits  # (1,2) -> (2,)
+    (B, h) embedding rows."""
+    return ad.matmul(ad.relu(ad.matmul(g, head_weights[0])), head_weights[1])
 
 
 def graph_embedding(graph: FeatureGraph, params: ModelParams) -> np.ndarray:

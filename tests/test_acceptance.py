@@ -80,14 +80,16 @@ def test_criterion_01_joint_loss_gradients_match_finite_differences():
                 proxy_malicious=point[names.index("proxy_malicious")])
             tape = ad.Tape()
             bound = M.bind_params(tape, p)
+            batch = M.batch_graphs([graph])
             x = tape.constant(graph.features.copy())
             xm = M.apply_mask(x, plan, bound["mask_token"])
-            h = M.encode(graph, xm, M.encoder_tensors(bound))
-            g = M.readout(h)
-            l_cl = L.contrastive_loss(g, graph.label, bound["proxy_benign"],
+            h = M.encode(batch, xm, M.encoder_tensors(bound))
+            g = M.readout(h, batch)
+            l_cl = L.contrastive_loss(g, [graph.label], bound["proxy_benign"],
                                       bound["proxy_malicious"])
-            z = M.decode(graph, M.remask(h, plan), M.decoder_tensors(bound))
-            l_rec = L.reconstruction_loss(x, z, plan)
+            z = M.decode(batch, M.remask(h, plan), M.decoder_tensors(bound))
+            k = len(plan.masked)
+            l_rec = L.reconstruction_loss(x, z, plan, np.full(k, 1.0 / k))
             joint = L.joint_loss(l_rec, l_cl, L.LossWeights(1.0, 1.0))
             grads = ad.backward(tape, joint)
             return joint.value, [grads[bound[name].tid] for name in names]
@@ -135,12 +137,13 @@ def test_criterion_02_sparse_matches_dense_oracle():
         params = M.init_params(d, hidden=hidden, layers=2, rng_seed=i)
         tape = ad.Tape()
         bound = M.bind_params(tape, params, trainable=False)
+        batch = M.batch_graphs([graph])
         x = graph.features.copy()
-        enc = M.encode(graph, tape.constant(x), M.encoder_tensors(bound))
+        enc = M.encode(batch, tape.constant(x), M.encoder_tensors(bound))
         want = dense_propagation(graph, params.encoder_weights, False, x)
         worst = max(worst, float(np.abs(enc.value - want).max()))
         hin = rng.normal(size=(n, hidden))
-        dec = M.decode(graph, tape.constant(hin), M.decoder_tensors(bound))
+        dec = M.decode(batch, tape.constant(hin), M.decoder_tensors(bound))
         want = dense_propagation(graph, params.decoder_weights, True, hin)
         worst = max(worst, float(np.abs(dec.value - want).max()))
     ok = worst <= 1e-10
@@ -157,11 +160,12 @@ def test_criterion_03_loss_trivial_values_exact():
     def rec(x_rows, z_rows, masked):
         x = tape.constant(np.array(x_rows, dtype=np.float64))
         z = tape.constant(np.array(z_rows, dtype=np.float64))
-        return L.reconstruction_loss(x, z, M.MaskPlan(masked, 0.5)).value
+        weights = np.full(len(masked), 1.0 / len(masked))
+        return L.reconstruction_loss(x, z, M.MaskPlan(masked, 0.5), weights).value
 
     def cl(g, y, p0, p1):
         return L.contrastive_loss(
-            tape.constant(np.array(g, dtype=np.float64)), y,
+            tape.constant(np.array([g], dtype=np.float64)), [y],
             tape.constant(np.array(p0, dtype=np.float64)),
             tape.constant(np.array(p1, dtype=np.float64))).value
 

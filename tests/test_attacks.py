@@ -126,8 +126,11 @@ def test_surrogate_gnn_margin_matches_tape_forward():
     tape = ad.Tape()
     enc = [tape.constant(sp.weights["enc.0"]), tape.constant(sp.weights["enc.1"])]
     head = [tape.constant(sp.weights["head.0"]), tape.constant(sp.weights["head.1"])]
-    logits = M.head_logits(M.readout(M.encode(g, tape.constant(g.features), enc)), head)
-    assert f[0] == pytest.approx(float(logits.value[0] - logits.value[1]), abs=1e-12)
+    batch = M.batch_graphs([g])
+    logits = M.head_logits(M.readout(M.encode(batch, tape.constant(g.features), enc),
+                                     batch), head)
+    assert f[0] == pytest.approx(float(logits.value[0, 0] - logits.value[0, 1]),
+                                 abs=1e-12)
 
 
 @pytest.mark.parametrize("arch", AT.ARCHITECTURES)
@@ -595,6 +598,19 @@ def test_asr_apr_worked_examples():
     assert summary.apr == pytest.approx(0.10, abs=1e-12)
     assert summary.apr_defined
     assert (summary.attempted, summary.succeeded) == (4, 2)
+    assert summary.edgeless_successes == 0
+
+
+def test_asr_apr_counts_edgeless_successes_apart():
+    """A success on an edgeless original has no perturbation ratio."""
+    summary = AT.compute_asr_apr([fake_result(True, 2, 20), fake_result(True, 3, 0),
+                                  fake_result(False, 5, 0)])
+    assert summary.asr == pytest.approx(2 / 3, abs=1e-12)
+    assert summary.apr == pytest.approx(0.10, abs=1e-12) and summary.apr_defined
+    assert (summary.succeeded, summary.edgeless_successes) == (2, 1)
+    summary = AT.compute_asr_apr([fake_result(True, 3, 0)])
+    assert (summary.asr, summary.apr, summary.apr_defined) == (1.0, 0.0, False)
+    assert summary.edgeless_successes == 1
 
 
 def test_asr_apr_zero_successes_flagged():

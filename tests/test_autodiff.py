@@ -169,18 +169,18 @@ def test_edge_aggregate_forward_and_gradient():
     p[1, 0], p[1, 2], p[3, 2] = 0.5, 2.0, 1.0
     tape = ad.Tape()
     tx = tape.param(x)
-    out = ad.edge_aggregate(tx, p)
+    out = ad.edge_aggregate(tx, p[None])
     expect = np.zeros_like(x)
     expect[1] = 0.5 * x[0] + 2.0 * x[2]
     expect[3] = x[2]
     np.testing.assert_allclose(out.value, expect, atol=0)
 
     def build(tape, ts):
-        return ad.sum_all(ad.square(ad.edge_aggregate(ts[0], p)))
+        return ad.sum_all(ad.square(ad.edge_aggregate(ts[0], p[None])))
     rep = ad.finite_difference_check(make_closure(build, None), [x], tolerance=1e-5)
     assert rep.passed, str(rep)
     with pytest.raises(ValueError):
-        ad.edge_aggregate(tx, np.zeros((3, 3)))
+        ad.edge_aggregate(tx, np.zeros((1, 3, 3)))
 
 
 def test_edge_aggregate_applies_a_stack_blockwise():
@@ -195,15 +195,18 @@ def test_edge_aggregate_applies_a_stack_blockwise():
         return ad.sum_all(ad.square(ad.edge_aggregate(ts[0], stack)))
     rep = ad.finite_difference_check(make_closure(build, None), [x], tolerance=1e-5)
     assert rep.passed, str(rep)
-    for bad in (np.zeros((2, 2, 3)), np.zeros((3, 2, 2)), np.zeros(4)):
-        with pytest.raises(ValueError):
+    # a single (4, 4) matrix of the right size is not a stack either
+    for bad in (np.zeros((2, 2, 3)), np.zeros((3, 2, 2)), np.zeros(4), np.zeros((4, 4))):
+        with pytest.raises(ValueError, match="edge_aggregate"):
             ad.edge_aggregate(tape.param(x), bad)
+    with pytest.raises(ValueError, match="edge_aggregate"):  # a 1-D vector of rows
+        ad.edge_aggregate(tape.param(np.ones(4)), np.zeros((1, 4, 4)))
 
 
 def test_edge_aggregate_no_edges_is_zero():
     tape = ad.Tape()
     tx = tape.param(np.ones((3, 2)))
-    out = ad.edge_aggregate(tx, np.zeros((3, 3)))
+    out = ad.edge_aggregate(tx, np.zeros((1, 3, 3)))
     np.testing.assert_array_equal(out.value, np.zeros((3, 2)))
     grads = ad.backward(tape, ad.sum_all(out))
     np.testing.assert_array_equal(grads[tx.tid], np.zeros((3, 2)))

@@ -11,7 +11,7 @@ import pytest
 import graphsentry.cli as cli
 import graphsentry.model as M
 import graphsentry.training as T
-from graphsentry.graphdata import load_dataset
+from graphsentry.graphdata import FeatureGraph, load_dataset, save_dataset
 
 
 def write_cfg(path, **kv):
@@ -520,7 +520,6 @@ def test_attack_blackbox_records_agreement(workspace, attack_run, tmp_path):
 def test_attack_empty_population_flagged(workspace, attack_run, tmp_path):
     graphs, schema = load_dataset(workspace["dataset"])
     benign_only = str(tmp_path / "benign.jsonl")
-    from graphsentry.graphdata import save_dataset
     save_dataset(benign_only, [g for g in graphs if g.label == 0], schema)
     out = str(tmp_path / "empty.csv")
     assert cli.main(["attack", workspace["checkpoint"], benign_only,
@@ -528,6 +527,33 @@ def test_attack_empty_population_flagged(workspace, attack_run, tmp_path):
     _, rows, trailer = read_csv(out)
     assert rows == []
     assert "# population,empty" in trailer
+
+
+@pytest.mark.parametrize("mode", ["whitebox", "blackbox"])
+def test_attack_counts_successes_on_edgeless_graphs_apart(workspace, attack_run,
+                                                         tmp_path, mode):
+    """A success on a graph with no edges has no perturbation ratio. Such a
+    success once ended the attack in a traceback, with no report written."""
+    graphs, schema = load_dataset(workspace["dataset"])
+    strip = {g.graph_id for g in graphs if g.label == 1}
+    strip = set(sorted(strip)[::2])
+    graphs = [FeatureGraph(g.node_count, [], g.features, g.label, g.graph_id, g.year_tag)
+              if g.graph_id in strip else g for g in graphs]
+    data = str(tmp_path / "edgeless.jsonl")
+    save_dataset(data, graphs, schema)
+    out = str(tmp_path / "a.csv")
+    extra = ["--surrogate", "gnn2_mlp"] if mode == "blackbox" else []
+    assert cli.main(["attack", workspace["checkpoint"], data, attack_run["cfg"],
+                     "--mode", mode, "--out", out] + extra) == 0
+    _, rows, trailer = read_csv(out)
+    won = [r for r in rows if r[1] == "True"]
+    edgeless = [r for r in won if r[4] == "0"]
+    ratios = [int(r[3]) / int(r[4]) for r in won if r[4] != "0"]
+    assert edgeless and ratios
+    assert f"# edgeless_successes,{len(edgeless)}" in trailer
+    assert "# apr_defined,True" in trailer
+    apr = next(ln for ln in trailer if ln.startswith("# apr,")).split(",")[1]
+    assert float(apr) == pytest.approx(np.mean(ratios), abs=1e-12)
 
 
 def test_attack_bad_config_exit_2(workspace, tmp_path, capsys):

@@ -1,7 +1,6 @@
 """Dataset layer tests.
 
-The BFS extractor is checked against a brute-force per-seed reachability
-oracle, and the synthetic generator against an independent motif-scan oracle
+The synthetic generator is checked against an independent motif-scan oracle
 (signature rows must form a connected planted component, wired both ways).
 """
 import json
@@ -18,7 +17,6 @@ from graphsentry.graphdata import (
     FeatureGraph,
     FeatureSchema,
     SyntheticConfig,
-    extract_behavior_subgraph,
     generate_synthetic_dataset,
     load_dataset,
     save_dataset,
@@ -35,22 +33,6 @@ def make_graph(n, edges, label=0, gid="g", d=SCHEMA.d, year=None, seed=0):
 
 
 # ------------------------------------------------------------------ oracles
-
-def reachable_within(graph: FeatureGraph, seeds, depth):
-    """Brute-force oracle: expand each seed's frontier `depth` times, union the balls."""
-    out = {}
-    for s, t in graph.edges:
-        out.setdefault(s, set()).add(t)
-    ball = set()
-    for seed in seeds:
-        frontier = {seed}
-        seen = {seed}
-        for _ in range(depth):
-            frontier = {t for u in frontier for t in out.get(u, ())} - seen
-            seen |= frontier
-        ball |= seen
-    return ball
-
 
 def motif_oracle(graph: FeatureGraph, signature: str, motif_size: int) -> bool:
     """True when signature-feature rows form a connected component of the right
@@ -312,97 +294,6 @@ def test_save_writes_per_row_bit_strings(tmp_path):
     records = [json.loads(ln) for ln in path.read_text().splitlines()[1:]]
     for g, rec in zip(graphs, records, strict=True):
         assert rec["x"] == ["".join("1" if v else "0" for v in row) for row in g.features]
-
-
-# ------------------------------------------------------------------ subgraph extraction
-
-def chain(k):
-    return make_graph(k, [(i, i + 1) for i in range(k - 1)], gid="chain")
-
-
-def test_chain_depth_two_keeps_three_nodes():
-    sub, node_map = extract_behavior_subgraph(chain(4), [0], 2)
-    assert node_map == {0: 0, 1: 1, 2: 2}
-    assert sub.node_count == 3
-    assert sub.edges.tolist() == [[0, 1], [1, 2]]
-
-
-def test_isolated_seed_gives_single_node():
-    g = make_graph(3, [(1, 2)])
-    sub, node_map = extract_behavior_subgraph(g, [0], 2)
-    assert sub.node_count == 1
-    assert sub.edges.shape == (0, 2)
-    assert node_map == {0: 0}
-
-
-def test_two_seeds_on_chain_merge_their_balls():
-    g = chain(5)  # a=0 .. e=4
-    sub, node_map = extract_behavior_subgraph(g, [0, 3], 1)
-    assert set(node_map) == {0, 1, 3, 4}
-    assert sub.node_count == 4
-    # kept edges are exactly a->b and d->e, remapped
-    assert sub.edges.tolist() == [[node_map[0], node_map[1]], [node_map[3], node_map[4]]]
-
-
-def test_extraction_inherits_label_year_and_features():
-    g = make_graph(4, [(0, 1)], label=1, year=2021, seed=9)
-    sub, node_map = extract_behavior_subgraph(g, [0], 1)
-    assert sub.label == 1 and sub.year_tag == 2021
-    for old, new in node_map.items():
-        np.testing.assert_array_equal(sub.features[new], g.features[old])
-
-
-def test_empty_seed_list_is_rejected():
-    with pytest.raises(ValueError, match="seed"):
-        extract_behavior_subgraph(chain(3), [], 2)
-
-
-def test_seed_out_of_range_is_rejected():
-    with pytest.raises(ValueError, match="out of range"):
-        extract_behavior_subgraph(chain(3), [7], 2)
-
-
-@st.composite
-def random_graph_and_seeds(draw):
-    n = draw(st.integers(1, 12))
-    pairs = [(s, t) for s in range(n) for t in range(n) if s != t]
-    edges = [p for p in pairs if draw(st.booleans())]
-    seeds = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
-    seed = draw(st.integers(0, 10_000))
-    return make_graph(n, edges, seed=seed), seeds
-
-
-@settings(max_examples=60, deadline=None)
-@given(random_graph_and_seeds(), st.integers(0, 4))
-def test_extraction_matches_bruteforce_reachability(case, depth):
-    g, seeds = case
-    sub, node_map = extract_behavior_subgraph(g, seeds, depth)
-    assert set(node_map) == reachable_within(g, seeds, depth)
-    # induced edges: every original edge inside the ball, nothing else
-    expect = {(node_map[s], node_map[t]) for s, t in g.edges
-              if s in node_map and t in node_map}
-    assert sub.edge_set() == expect and len(sub.edges) == len(expect)
-
-
-@settings(max_examples=40, deadline=None)
-@given(random_graph_and_seeds(), st.integers(0, 3))
-def test_extraction_monotone_in_depth(case, depth):
-    g, seeds = case
-    _, m1 = extract_behavior_subgraph(g, seeds, depth)
-    _, m2 = extract_behavior_subgraph(g, seeds, depth + 1)
-    assert set(m1) <= set(m2)
-
-
-@settings(max_examples=40, deadline=None)
-@given(random_graph_and_seeds(), st.integers(0, 3))
-def test_extraction_is_idempotent(case, depth):
-    g, seeds = case
-    sub1, m1 = extract_behavior_subgraph(g, seeds, depth)
-    sub2, m2 = extract_behavior_subgraph(sub1, [m1[s] for s in seeds], depth)
-    assert sub2.node_count == sub1.node_count
-    assert np.array_equal(sub2.edges, sub1.edges)
-    assert m2 == {i: i for i in range(sub1.node_count)}
-    np.testing.assert_array_equal(sub2.features, sub1.features)
 
 
 # ------------------------------------------------------------------ synthetic corpus

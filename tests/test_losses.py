@@ -9,15 +9,19 @@ from graphsentry.model import MaskPlan
 
 
 def rec_value(x, z, masked):
+    """The loss of one graph: the mean over its masked rows."""
     tape = ad.Tape()
     out = L.reconstruction_loss(tape.constant(x), tape.constant(z),
-                                MaskPlan(tuple(masked), 0.5))
+                                MaskPlan(tuple(masked), 0.5),
+                                np.full(len(masked), 1.0 / len(masked)))
     return float(out.value)
 
 
 def cl_value(g, y, p0, p1):
+    """The loss of one (h,) embedding `g` with label `y`, as a batch of one."""
     tape = ad.Tape()
-    out = L.contrastive_loss(tape.constant(g), y, tape.constant(p0), tape.constant(p1))
+    out = L.contrastive_loss(tape.constant(g[None]), [y], tape.constant(p0),
+                             tape.constant(p1))
     return float(out.value)
 
 
@@ -49,7 +53,7 @@ def test_reconstruction_rejects_empty_plan():
     tape = ad.Tape()
     x = tape.constant(np.ones((2, 2)))
     with pytest.raises(ValueError):
-        L.reconstruction_loss(x, x, MaskPlan((), 0.5))
+        L.reconstruction_loss(x, x, MaskPlan((), 0.5), np.zeros(0))
 
 
 def test_contrastive_perfect_malicious_placement_is_zero():
@@ -91,14 +95,14 @@ def test_loss_weights_reject_both_zero_and_negative():
 def test_cross_entropy_matches_log_softmax():
     logits = np.array([2.0, -1.0])
     tape = ad.Tape()
-    out = L.cross_entropy_logits(tape.constant(logits), 0)
+    out = L.cross_entropy_logits(tape.constant(logits[None]), [0])
     expect = -np.log(np.exp(logits[0]) / np.exp(logits).sum())
     assert float(out.value) == pytest.approx(expect, abs=1e-12)
 
 
 def test_cross_entropy_survives_large_logits():
     tape = ad.Tape()
-    out = L.cross_entropy_logits(tape.constant(np.array([800.0, 0.0])), 1)
+    out = L.cross_entropy_logits(tape.constant(np.array([[800.0, 0.0]])), [1])
     assert float(out.value) == pytest.approx(800.0, rel=1e-12)
 
 
@@ -147,7 +151,7 @@ def test_reconstruction_gradients_pass_fd():
     def f(arrays):
         tape = ad.Tape()
         x, z = tape.param(arrays[0]), tape.param(arrays[1])
-        out = L.reconstruction_loss(x, z, MaskPlan((0, 2), 0.5))
+        out = L.reconstruction_loss(x, z, MaskPlan((0, 2), 0.5), np.full(2, 0.5))
         grads = ad.backward(tape, out)
         return float(out.value), [grads[x.tid], grads[z.tid]]
     rng = np.random.default_rng(2)
@@ -161,12 +165,12 @@ def test_contrastive_gradients_pass_fd(y):
     def f(arrays):
         tape = ad.Tape()
         g, p0, p1 = (tape.param(a) for a in arrays)
-        out = L.contrastive_loss(g, y, p0, p1)
+        out = L.contrastive_loss(g, [y], p0, p1)
         grads = ad.backward(tape, out)
         return float(out.value), [grads[t.tid] for t in (g, p0, p1)]
     rng = np.random.default_rng(3 + y)
-    rep = ad.finite_difference_check(f, [rng.normal(size=6) for _ in range(3)],
-                                     tolerance=1e-4)
+    g, p0, p1 = (rng.normal(size=6) for _ in range(3))
+    rep = ad.finite_difference_check(f, [g[None], p0, p1], tolerance=1e-4)
     assert rep.passed, str(rep)
 
 
@@ -174,9 +178,9 @@ def test_contrastive_gradients_pass_fd(y):
 def test_cross_entropy_gradient_is_softmax_minus_onehot(y):
     logits = np.array([0.7, -1.3])
     tape = ad.Tape()
-    t = tape.param(logits)
-    out = L.cross_entropy_logits(t, y)
+    t = tape.param(logits[None])
+    out = L.cross_entropy_logits(t, [y])
     grads = ad.backward(tape, out)
     soft = np.exp(logits) / np.exp(logits).sum()
     onehot = np.eye(2)[y]
-    np.testing.assert_allclose(grads[t.tid], soft - onehot, atol=1e-12)
+    np.testing.assert_allclose(grads[t.tid], [soft - onehot], atol=1e-12)

@@ -40,15 +40,16 @@ def dense_oracle(graph, features, weights, final_linear):
 
 
 def run_encode(graph, features, weight_arrays):
+    """`M.encode` of `features` on `graph` as a batch of one."""
     tape = ad.Tape()
     ws = [tape.constant(w) for w in weight_arrays]
-    return M.encode(graph, tape.constant(features), ws).value
+    return M.encode(M.batch_graphs([graph]), tape.constant(features), ws).value
 
 
 def run_decode(graph, rows, weight_arrays):
     tape = ad.Tape()
     ws = [tape.constant(w) for w in weight_arrays]
-    return M.decode(graph, tape.constant(rows), ws).value
+    return M.decode(M.batch_graphs([graph]), tape.constant(rows), ws).value
 
 
 # ------------------------------------------------------------------ init
@@ -196,6 +197,24 @@ def test_decode_zero_rows_stay_zero():
     np.testing.assert_array_equal(out, np.zeros((3, 2)))
 
 
+def test_encode_decode_readout_and_head_take_batch_rows_only():
+    g = make_graph(3, [(0, 1)])
+    batch = M.batch_graphs([g])
+    tape = ad.Tape()
+    x = tape.constant(g.features)
+    w = [tape.constant(np.eye(4))]
+    for one in (g, M.propagation_terms(g)):
+        for call in (lambda: M.encode(one, x, w), lambda: M.decode(one, x, w),
+                     lambda: M.readout(x, one)):
+            with pytest.raises(ValueError, match="GraphBatch"):
+                call()
+    vector = tape.constant(np.ones(4))
+    for call in (lambda: M.encode(batch, vector, w), lambda: M.readout(vector, batch),
+                 lambda: M.head_logits(vector, w + w)):
+        with pytest.raises(ValueError):
+            call()
+
+
 @st.composite
 def random_case(draw):
     n = draw(st.integers(1, 16))
@@ -275,8 +294,9 @@ def test_encode_is_permutation_equivariant(case):
 
 def test_readout_is_row_mean():
     tape = ad.Tape()
-    out = M.readout(tape.constant(np.array([[1.0, 3.0], [3.0, 1.0]])))
-    np.testing.assert_array_equal(out.value, [2.0, 2.0])
+    out = M.readout(tape.constant(np.array([[1.0, 3.0], [3.0, 1.0]])),
+                    M.batch_graphs([make_graph(2, [])]))
+    np.testing.assert_array_equal(out.value, [[2.0, 2.0]])
 
 
 def test_predict_tie_goes_malicious():
@@ -316,8 +336,11 @@ def test_predict_equals_forward_after_empty_mask_plan():
     bound = M.bind_params(tape, p, trainable=False)
     x = M.apply_mask(tape.constant(g.features), M.MaskPlan((), 0.8),
                      bound["mask_token"])
-    emb = M.readout(M.encode(g, x, M.encoder_tensors(bound))).value
-    np.testing.assert_array_equal(emb, M.graph_embedding(g, p))
+    rows = M.encode(M.batch_graphs([g]), x, M.encoder_tensors(bound)).value
+    hs, _ = M.gnn_layers(M.propagation_terms(g), g.features, p.encoder_weights)
+    # the rows predict pools; the tape pools by a matrix product, which may
+    # round differently from predict's mean
+    np.testing.assert_array_equal(rows, hs[-1])
 
 
 @pytest.mark.parametrize("layers", [11, 12])
@@ -334,8 +357,9 @@ def test_deep_models_run_layers_in_index_order(layers):
     want = dense_oracle(g, g.features, p.encoder_weights, final_linear=False)
     np.testing.assert_allclose(M.graph_embedding(g, p), want.mean(axis=0),
                                atol=1e-12)
-    h = M.encode(g, tape.constant(g.features), enc)
-    z = M.decode(g, h, dec)
+    batch = M.batch_graphs([g])
+    h = M.encode(batch, tape.constant(g.features), enc)
+    z = M.decode(batch, h, dec)
     np.testing.assert_allclose(
         z.value, dense_oracle(g, want, p.decoder_weights, final_linear=True),
         atol=1e-12)

@@ -282,15 +282,32 @@ def odd_graphs():
     return graphs
 
 
+def reference_layers(h, p, weights, final_linear):
+    """The GCN layers on a tape from primitive ops, propagating by the dense
+    (n, n) matrix `p` of one graph."""
+    pt = h.tape.constant(p)
+    for i, w in enumerate(weights):
+        z = ad.matmul(ad.add(h, ad.matmul(pt, h)), w)
+        h = z if (final_linear and i == len(weights) - 1) else ad.relu(z)
+    return h
+
+
+def reference_head(g, weights):
+    """The (2,) logits of one (h,) embedding."""
+    hid = ad.relu(ad.matmul(ad.tile_rows(g, 1), weights[0]))
+    return ad.mean_rows(ad.matmul(hid, weights[1]))
+
+
 def reference_detector_loss(graph, plan, params, config, class_weights):
-    """The objective of one graph on its own tape, from the single-graph API
-    and primitive ops: (value, {name: gradient})."""
+    """The objective of one graph on its own tape, from primitive ops and
+    masking: (value, {name: gradient})."""
     tape = ad.Tape()
     bound = M.bind_params(tape, params)
+    p = M.propagation_terms(graph)
     x = tape.constant(graph.features)
     xin = M.apply_mask(x, plan, bound["mask_token"]) if plan else x
-    h = M.encode(graph, xin, M.encoder_tensors(bound))
-    g = M.readout(h)
+    h = reference_layers(xin, p, M.encoder_tensors(bound), final_linear=False)
+    g = ad.mean_rows(h)
     if config.uses_proxies:
         own, other = ((bound["proxy_malicious"], bound["proxy_benign"]) if graph.label
                       else (bound["proxy_benign"], bound["proxy_malicious"]))
@@ -298,9 +315,10 @@ def reference_detector_loss(graph, plan, params, config, class_weights):
         cl = ad.scale(ad.add(ad.square(ad.cosine(g, other)), pull),
                       class_weights[graph.label])
     else:
-        cl = reference_cross_entropy(M.head_logits(g, M.head_tensors(bound)), graph.label)
+        cl = reference_cross_entropy(reference_head(g, M.head_tensors(bound)), graph.label)
     if plan:
-        z = M.decode(graph, M.remask(h, plan), M.decoder_tensors(bound))
+        z = reference_layers(M.remask(h, plan), p, M.decoder_tensors(bound),
+                             final_linear=True)
         idx = list(plan.masked)
         cos = ad.row_cosine(ad.gather_rows(x, idx), ad.gather_rows(z, idx))
         rec = ad.mean_all(ad.square(ad.sub(tape.constant(np.ones(len(idx))), cos)))
@@ -322,11 +340,15 @@ def reference_surrogate_loss(sp, graph, label):
     tape = ad.Tape()
     bound = {k: tape.param(v) for k, v in sp.weights.items()}
     if sp.architecture == "gnn2_mlp":
-        g = M.readout(M.encode(graph, tape.constant(graph.features),
-                               [bound["enc.0"], bound["enc.1"]]))
+        g = ad.mean_rows(reference_layers(tape.constant(graph.features),
+                                          M.propagation_terms(graph),
+                                          [bound["enc.0"], bound["enc.1"]], False))
     else:
-        g = tape.constant(AT._degree_summary(graph))
-    loss = reference_cross_entropy(M.head_logits(g, [bound["head.0"], bound["head.1"]]),
+        a = M.adjacency(graph)
+        n = graph.node_count
+        g = tape.constant(np.concatenate([graph.features.mean(axis=0),
+                                          [np.maximum(a, a.T).sum() / max(n * (n - 1), 1)]]))
+    loss = reference_cross_entropy(reference_head(g, [bound["head.0"], bound["head.1"]]),
                                    label)
     grads = ad.backward(tape, loss)
     return float(loss.value), {name: grads[t.tid] for name, t in bound.items()}
