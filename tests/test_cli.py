@@ -535,8 +535,7 @@ def test_attack_counts_successes_on_edgeless_graphs_apart(workspace, attack_run,
     """A success on a graph with no edges has no perturbation ratio. Such a
     success once ended the attack in a traceback, with no report written."""
     graphs, schema = load_dataset(workspace["dataset"])
-    strip = {g.graph_id for g in graphs if g.label == 1}
-    strip = set(sorted(strip)[::2])
+    strip = set(sorted(g.graph_id for g in graphs if g.label == 1)[::2])
     graphs = [FeatureGraph(g.node_count, [], g.features, g.label, g.graph_id, g.year_tag)
               if g.graph_id in strip else g for g in graphs]
     data = str(tmp_path / "edgeless.jsonl")

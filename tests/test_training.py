@@ -344,10 +344,9 @@ def reference_surrogate_loss(sp, graph, label):
                                           M.propagation_terms(graph),
                                           [bound["enc.0"], bound["enc.1"]], False))
     else:
-        a = M.adjacency(graph)
-        n = graph.node_count
-        g = tape.constant(np.concatenate([graph.features.mean(axis=0),
-                                          [np.maximum(a, a.T).sum() / max(n * (n - 1), 1)]]))
+        a, n = M.adjacency(graph), graph.node_count
+        degree = np.maximum(a, a.T).sum() / max(n * (n - 1), 1)
+        g = tape.constant(np.append(graph.features.mean(axis=0), degree))
     loss = reference_cross_entropy(reference_head(g, [bound["head.0"], bound["head.1"]]),
                                    label)
     grads = ad.backward(tape, loss)
