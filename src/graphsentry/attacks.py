@@ -114,10 +114,8 @@ class AttackSummary:
 
 def _margin_grad_gnn(gnn_weights: list[np.ndarray], head, x: np.ndarray,
                      a_batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched margin and d(margin)/d(adjacency) for a GNN + readout + head.
-
-    `head(g)` maps pooled embeddings (B,h) to (margin (B,), d margin/d g (B,h)).
-    """
+    """Batched margin and d(margin)/d(adjacency) for a GNN + readout + `head`,
+    a score head wrapped by `_fixed_rows`."""
     n = a_batch.shape[1]
     s, deg, live, r, p, at = M.relaxed_propagation(a_batch)
     hs, qs = M.gnn_layers(p, x, gnn_weights)
@@ -139,55 +137,32 @@ def _margin_grad_gnn(gnn_weights: list[np.ndarray], head, x: np.ndarray,
     dr = (dps @ r[:, :, None])[:, :, 0] + (r[:, None, :] @ dps)[:, 0, :]
     ddeg = np.where(live, dr * (-0.5) * r**3, 0.0)
     ds = ds + ddeg[:, :, None]  # deg_v is the row sum of S, so spread over the row
+    return f, _adjacency_grad(ds, at)
 
+
+def _adjacency_grad(ds: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """d(margin)/dA from d(margin)/dS, as S = A + A^T - A*A^T; the diagonal,
+    never a candidate edge, is zeroed."""
     da = (ds + np.transpose(ds, (0, 2, 1))) * (1.0 - at)
-    idx = np.arange(n)
+    idx = np.arange(ds.shape[1])
     da[:, idx, idx] = 0.0
-    return f, da
+    return da
 
 
 def _fixed_rows(head):
-    """`head` evaluated on blocks of exactly HEAD_ROWS rows, the last one
-    zero-padded. BLAS picks its kernel for a (B,h) product by B, so without
-    this a row's bits would depend on how many rows share its chunk."""
+    """A score head's margin s0 - s1 and its gradient, evaluated on blocks of
+    exactly HEAD_ROWS rows, the last one zero-padded. BLAS picks its kernel
+    for a (B,h) product by B, so without this a row's bits would depend on
+    how many rows share its chunk."""
     def blocked(g):
         rows = len(g)
         padded = np.zeros((-(-rows // HEAD_ROWS) * HEAD_ROWS, g.shape[1]))
         padded[:rows] = g
-        parts = [head(padded[i:i + HEAD_ROWS])
+        parts = [head(padded[i:i + HEAD_ROWS], grad=True)
                  for i in range(0, len(padded), HEAD_ROWS)]
-        return (np.concatenate([f for f, _ in parts])[:rows],
-                np.concatenate([dg for _, dg in parts])[:rows])
+        return (np.concatenate([s0 - s1 for s0, s1, _ in parts])[:rows],
+                np.concatenate([dg for _, _, dg in parts])[:rows])
     return blocked
-
-
-def _proxy_head(p0: np.ndarray, p1: np.ndarray):
-    n0 = max(float(np.linalg.norm(p0)), ad.NORM_CLAMP)
-    n1 = max(float(np.linalg.norm(p1)), ad.NORM_CLAMP)
-
-    def head(g):
-        raw = np.linalg.norm(g, axis=1)
-        gn = np.maximum(raw, ad.NORM_CLAMP)
-        glive = (raw > ad.NORM_CLAMP)[:, None]
-        c0 = (g @ p0) / (gn * n0)
-        c1 = (g @ p1) / (gn * n1)
-        f = c0 - c1
-        dc0 = p0[None, :] / (gn * n0)[:, None] - (c0 / gn**2)[:, None] * g * glive
-        dc1 = p1[None, :] / (gn * n1)[:, None] - (c1 / gn**2)[:, None] * g * glive
-        return f, dc0 - dc1
-    return _fixed_rows(head)
-
-
-def _logits_head(w0: np.ndarray, w1: np.ndarray):
-    u = w1[:, 0] - w1[:, 1]  # margin = logit_benign - logit_malicious
-
-    def head(g):
-        pre = g @ w0
-        hid = np.maximum(pre, 0.0)
-        f = hid @ u
-        dg = (u[None, :] * (pre > 0)) @ w0.T
-        return f, dg
-    return _fixed_rows(head)
 
 
 def _degree_summary(x: np.ndarray, a_batch: np.ndarray) -> np.ndarray:
@@ -202,39 +177,36 @@ def _degree_summary(x: np.ndarray, a_batch: np.ndarray) -> np.ndarray:
     ], axis=1)
 
 
-def _margin_grad_degree_mlp(weights: dict, x: np.ndarray,
+def _margin_grad_degree_mlp(head, x: np.ndarray,
                             a_batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """MLP over `_degree_summary`; adjacency enters only through the degree
-    sum, whose derivative by S is 1 everywhere."""
+    """`head` (see _fixed_rows) over `_degree_summary`; adjacency enters only
+    through the degree sum, whose derivative by S is 1 everywhere."""
     n = a_batch.shape[1]
-    head = _logits_head(weights["head.0"], weights["head.1"])
     f, dphi = head(_degree_summary(x, a_batch))
     ds = np.broadcast_to((dphi[:, -1] / max(n * (n - 1), 1))[:, None, None],
                          a_batch.shape)
-    da = (ds + np.transpose(ds, (0, 2, 1))) * (1.0 - np.swapaxes(a_batch, 1, 2))
-    idx = np.arange(n)
-    da[:, idx, idx] = 0.0
-    return f, da
+    return f, _adjacency_grad(ds, np.swapaxes(a_batch, 1, 2))
 
 
 class DetectorVictim:
-    """White-box view of trained ModelParams: margin is benign minus malicious."""
+    """White-box view of trained ModelParams: margin is benign minus malicious.
+    The head is built once, as an attack does not change the weights."""
 
     symmetrizes = True
 
     def __init__(self, params: M.ModelParams):
         self.params = params
+        self.head = M.score_head(params)
+        self.grad_head = _fixed_rows(self.head)
 
     def label(self, graph: FeatureGraph) -> int:
-        return M.predict(graph, self.params)[0]
+        g = M.graph_embedding(graph, self.params.encoder_weights)
+        return M.classify(self.head, g, graph.graph_id)[0]
 
     def margin_grad_batched(self, features: np.ndarray,
                             a_batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        p = self.params
-        head = (_logits_head(p.head_weights[0], p.head_weights[1])
-                if p.head_weights is not None
-                else _proxy_head(p.proxy_benign, p.proxy_malicious))
-        return _margin_grad_gnn(p.encoder_weights, head, features, a_batch)
+        return _margin_grad_gnn(self.params.encoder_weights, self.grad_head,
+                                features, a_batch)
 
 
 class SurrogateVictim:
@@ -245,30 +217,22 @@ class SurrogateVictim:
     def __init__(self, surrogate: SurrogateParams):
         surrogate.validate()
         self.surrogate = surrogate
-
-    def margin(self, graph: FeatureGraph) -> float:
-        """Benign-minus-malicious margin of the graph, forward only."""
-        w = self.surrogate.weights
-        if self.surrogate.architecture == "gnn2_mlp":
-            hs, _ = M.gnn_layers(M.propagation_terms(graph), graph.features,
-                                 [w["enc.0"], w["enc.1"]])
-            g = hs[-1].mean(axis=0)
-        else:
-            g = _degree_summary(graph.features, M.adjacency(graph)[None])[0]
-        u = w["head.1"][:, 0] - w["head.1"][:, 1]  # margin = logit_benign - logit_malicious
-        return float(np.maximum(g @ w["head.0"], 0.0) @ u)
+        w = surrogate.weights
+        self.encoder = ([w["enc.0"], w["enc.1"]]
+                        if surrogate.architecture == "gnn2_mlp" else None)
+        self.head = M.logits_head(w["head.0"], w["head.1"])
+        self.grad_head = _fixed_rows(self.head)
 
     def label(self, graph: FeatureGraph) -> int:
-        return 1 if self.margin(graph) <= 0.0 else 0  # tie goes malicious, as in predict
+        g = (M.graph_embedding(graph, self.encoder) if self.encoder
+             else _degree_summary(graph.features, M.adjacency(graph)[None])[0])
+        return M.classify(self.head, g, graph.graph_id)[0]
 
     def margin_grad_batched(self, features: np.ndarray,
                             a_batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        w = self.surrogate.weights
-        if self.surrogate.architecture == "gnn2_mlp":
-            head = _logits_head(w["head.0"], w["head.1"])
-            return _margin_grad_gnn([w["enc.0"], w["enc.1"]], head,
-                                    features, a_batch)
-        return _margin_grad_degree_mlp(w, features, a_batch)
+        if self.encoder:
+            return _margin_grad_gnn(self.encoder, self.grad_head, features, a_batch)
+        return _margin_grad_degree_mlp(self.grad_head, features, a_batch)
 
 
 def as_victim(victim):

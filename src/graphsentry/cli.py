@@ -623,10 +623,11 @@ def cmd_export_embeddings(args) -> None:
     tic = time.perf_counter()
     h = params.hidden_dim
     rows = []
+    head = M.score_head(params)
     with _finite_forward(args.checkpoint):
         for g in graphs:
-            emb = M.graph_embedding(g, params)
-            s0, s1 = M.embedding_scores(emb, params, g.graph_id)
+            emb = M.graph_embedding(g, params.encoder_weights)
+            _, s0, s1 = M.classify(head, emb, g.graph_id)
             rows.append([g.graph_id, g.label] + [_fmt(v) for v in emb]
                         + [_fmt(s0), _fmt(s1)])
     header = ["graph_id", "label"] + [f"g_{i + 1}" for i in range(h)] \

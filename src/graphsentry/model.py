@@ -9,8 +9,9 @@ adjacency it is `propagation_terms`. Training runs the layers on a tape
 (`_gnn_forward`) over a padded minibatch (`GraphBatch`, whose (B, m, m) stack
 of P comes from one `relaxed_propagation` call), one graph being a batch of
 one; inference and the attack run the same layers in plain numpy
-(`gnn_layers`). The module holds no mutable state: a training run counts its
-own masking and decoding from its tapes.
+(`gnn_layers`) and score embeddings by one head per family (`proxy_head`,
+`logits_head`). The module holds no mutable state: a training run counts
+its own masking and decoding from its tapes.
 """
 from __future__ import annotations
 
@@ -343,16 +344,15 @@ def head_logits(g: ad.Tensor, head_weights: list[ad.Tensor]) -> ad.Tensor:
     return ad.matmul(ad.relu(ad.matmul(g, head_weights[0])), head_weights[1])
 
 
-def graph_embedding(graph: FeatureGraph, params: ModelParams) -> np.ndarray:
-    """Unmasked encode + readout by `gnn_layers`, without a tape. Raises
-    NonFiniteError naming the graph when a layer's pre-activation or the
-    embedding's norm is not finite; each layer is checked because a ReLU can
-    turn an intermediate -inf into 0."""
+def graph_embedding(graph: FeatureGraph, weights: list[np.ndarray]) -> np.ndarray:
+    """Unmasked encode by `gnn_layers` over encoder `weights` and mean readout,
+    without a tape. Raises NonFiniteError naming the graph when a layer's
+    pre-activation or the embedding's norm is not finite; each layer is
+    checked because a ReLU can turn an intermediate -inf into 0."""
     if graph.node_count < 1:
         raise ValueError(f"graph {graph.graph_id} is empty")
     with np.errstate(over="ignore", invalid="ignore"):
-        hs, qs = gnn_layers(propagation_terms(graph), graph.features,
-                            params.encoder_weights)
+        hs, qs = gnn_layers(propagation_terms(graph), graph.features, weights)
         g = hs[-1].mean(axis=0)
         norm = np.linalg.norm(g)
     for i, q in enumerate(qs):
@@ -364,28 +364,61 @@ def graph_embedding(graph: FeatureGraph, params: ModelParams) -> np.ndarray:
     return g
 
 
-def embedding_scores(g: np.ndarray, params: ModelParams,
-                     graph_id: str) -> tuple[float, float]:
-    """(benign, malicious) scores of graph `graph_id`'s embedding: proxy
-    cosines, or head logits when a head is attached. Raises NonFiniteError
-    naming the graph when a score is not finite (weights that overflow)."""
+def proxy_head(p0: np.ndarray, p1: np.ndarray):
+    """The proxy family's score head. A score head maps (B, h) rows g to the
+    (B,) benign and malicious scores (s0, s1); head(g, grad=True) adds the
+    (B, h) gradient of the margin s0 - s1 by g. Here the scores are cosines to
+    the proxies; a row whose norm is clamped gets none through its norm."""
+    n0 = max(float(np.linalg.norm(p0)), ad.NORM_CLAMP)
+    n1 = max(float(np.linalg.norm(p1)), ad.NORM_CLAMP)
+
+    def head(g, grad=False):
+        raw = np.linalg.norm(g, axis=1)
+        gn = np.maximum(raw, ad.NORM_CLAMP)
+        c0 = (g @ p0) / (gn * n0)
+        c1 = (g @ p1) / (gn * n1)
+        if not grad:
+            return c0, c1
+        glive = (raw > ad.NORM_CLAMP)[:, None]
+        dc0 = p0[None, :] / (gn * n0)[:, None] - (c0 / gn**2)[:, None] * g * glive
+        dc1 = p1[None, :] / (gn * n1)[:, None] - (c1 / gn**2)[:, None] * g * glive
+        return c0, c1, dc0 - dc1
+    return head
+
+
+def logits_head(w0: np.ndarray, w1: np.ndarray):
+    """The MLP family's score head: the logits relu(g W0) W1."""
+    u = w1[:, 0] - w1[:, 1]  # the margin's weights on the hidden layer
+
+    def head(g, grad=False):
+        pre = g @ w0
+        s0, s1 = (np.maximum(pre, 0.0) @ w1).T
+        return (s0, s1, (u[None, :] * (pre > 0)) @ w0.T) if grad else (s0, s1)
+    return head
+
+
+def score_head(params: ModelParams):
+    """The detector's head: its MLP head when one is attached, else its proxies."""
     if params.head_weights is not None:
-        hid = np.maximum(g @ params.head_weights[0], 0.0)
-        s0, s1 = (hid @ params.head_weights[1]).tolist()
-    else:
-        gn = max(float(np.linalg.norm(g)), ad.NORM_CLAMP)
-        p0, p1 = params.proxy_benign, params.proxy_malicious
-        s0 = float(g @ p0) / (gn * max(float(np.linalg.norm(p0)), ad.NORM_CLAMP))
-        s1 = float(g @ p1) / (gn * max(float(np.linalg.norm(p1)), ad.NORM_CLAMP))
+        return logits_head(*params.head_weights)
+    return proxy_head(params.proxy_benign, params.proxy_malicious)
+
+
+def classify(head, g: np.ndarray, graph_id: str) -> tuple[int, float, float]:
+    """(label, s0, s1) of graph `graph_id`'s (h,) embedding under `head`; ties
+    go to malicious. Raises NonFiniteError naming the graph when a score is
+    not finite (weights that overflow)."""
+    s0, s1 = (float(s[0]) for s in head(g[None]))
     if not (math.isfinite(s0) and math.isfinite(s1)):
         raise ad.NonFiniteError(f"graph {graph_id}: scores ({s0}, {s1}) are not finite")
-    return s0, s1
+    return (1 if s1 >= s0 else 0), s0, s1
 
 
 def predict(graph: FeatureGraph, params: ModelParams) -> tuple[int, float, float]:
-    """Full unmasked forward and its `embedding_scores`. Ties go to malicious."""
-    s0, s1 = embedding_scores(graph_embedding(graph, params), params, graph.graph_id)
-    return (1 if s1 >= s0 else 0), s0, s1
+    """Full unmasked forward, classified by the detector's head. The head is
+    built on every call, as training updates `params` in place."""
+    g = graph_embedding(graph, params.encoder_weights)  # first: it names an overflow
+    return classify(score_head(params), g, graph.graph_id)
 
 
 def _encode_array(arr: np.ndarray) -> dict:

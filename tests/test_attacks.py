@@ -147,10 +147,43 @@ def test_surrogate_label_is_the_sign_of_the_relaxed_margin(arch):
     for victim in (AT.SurrogateVictim(sp), AT.SurrogateVictim(flipped)):
         for g in graphs:
             f, _ = victim.margin_grad_batched(g.features, M.adjacency(g)[None])
+            emb = (M.graph_embedding(g, victim.encoder) if arch == "gnn2_mlp"
+                   else AT._degree_summary(g.features, M.adjacency(g)[None])[0])
+            _, s0, s1 = M.classify(victim.head, emb, g.graph_id)
             assert victim.label(g) == (1 if f[0] <= 0 else 0), g.graph_id
-            assert victim.margin(g) == pytest.approx(f[0], abs=1e-12), g.graph_id
+            assert s0 - s1 == pytest.approx(f[0], abs=1e-12), g.graph_id
             labels.add(victim.label(g))
     assert labels == {0, 1}
+
+
+@pytest.mark.parametrize("head", [False, True])
+def test_detector_label_is_the_predicted_label(head):
+    labels = set()
+    for seed in range(6):
+        g = rand_graph(6, seed)
+        params = rand_params(seed, head=head)
+        flipped = params.copy()
+        if head:
+            flipped.head_weights[1] = flipped.head_weights[1][:, ::-1].copy()
+        else:
+            flipped.proxy_benign, flipped.proxy_malicious = (params.proxy_malicious,
+                                                             params.proxy_benign)
+        for p in (params, flipped):
+            label = AT.DetectorVictim(p).label(g)
+            assert label == M.predict(g, p)[0], seed
+            labels.add(label)
+    assert labels == {0, 1}
+
+
+@pytest.mark.parametrize("arch", AT.ARCHITECTURES)
+def test_surrogate_label_rejects_overflowing_weights(arch):
+    """As predict does: a surrogate whose scores overflow has no label."""
+    sp = AT._init_surrogate(arch, D, 8, rng_seed=3)
+    huge = AT.SurrogateParams(arch, {k: w * 1e200 for k, w in sp.weights.items()})
+    g = rand_graph(6, 5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ad.NonFiniteError, match="graph g5"):
+            AT.SurrogateVictim(huge).label(g)
 
 
 def fd_adjacency_grad(victim, features, a, step=1e-6):

@@ -612,7 +612,7 @@ def test_export_embeddings_matches_predict(workspace, tmp_path):
         label, s0, s1 = M.predict(g, params)
         assert float(r[-2]) == s0 and float(r[-1]) == s1
         assert int(r[1]) == g.label
-        emb = M.graph_embedding(g, params)
+        emb = M.graph_embedding(g, params.encoder_weights)
         assert np.array_equal(np.array([float(c) for c in r[2:2 + h]]), emb)
 
 

@@ -310,7 +310,7 @@ def test_predict_tie_goes_malicious():
 def test_predict_prefers_closer_proxy():
     p = M.init_params(SCHEMA, 8, 1, rng_seed=0)
     g = make_graph(3, [(0, 1)], seed=2)
-    emb = M.graph_embedding(g, p)
+    emb = M.graph_embedding(g, p.encoder_weights)
     p.proxy_benign = emb.copy()
     p.proxy_malicious = -emb.copy()
     assert M.predict(g, p)[0] == 0
@@ -355,8 +355,8 @@ def test_deep_models_run_layers_in_index_order(layers):
         assert len(tensors) == layers
         assert all(np.array_equal(t.value, w) for t, w in zip(tensors, arrays))
     want = dense_oracle(g, g.features, p.encoder_weights, final_linear=False)
-    np.testing.assert_allclose(M.graph_embedding(g, p), want.mean(axis=0),
-                               atol=1e-12)
+    np.testing.assert_allclose(M.graph_embedding(g, p.encoder_weights),
+                               want.mean(axis=0), atol=1e-12)
     batch = M.batch_graphs([g])
     h = M.encode(batch, tape.constant(g.features), enc)
     z = M.decode(batch, h, dec)
@@ -377,10 +377,45 @@ def test_predict_with_head_uses_logits():
     M.init_head(p, rng_seed=1)
     g = make_graph(3, [(0, 1)], seed=2)
     label, s0, s1 = M.predict(g, p)
-    emb = M.graph_embedding(g, p)
+    emb = M.graph_embedding(g, p.encoder_weights)
     logits = np.maximum(emb @ p.head_weights[0], 0.0) @ p.head_weights[1]
     assert (s0, s1) == pytest.approx(tuple(logits), abs=1e-12)
     assert label == (1 if s1 >= s0 else 0)
+
+
+# ------------------------------------------------------------------ score heads
+
+def score_head(family, h=6, seed=0):
+    rng = np.random.default_rng(seed)
+    if family == "proxy":
+        return M.proxy_head(rng.normal(size=h), rng.normal(size=h))
+    return M.logits_head(rng.normal(size=(h, h)), rng.normal(size=(h, 2)))
+
+
+@pytest.mark.parametrize("family", ["proxy", "logits"])
+def test_head_gradient_matches_central_differences(family):
+    head = score_head(family)
+    g = np.random.default_rng(1).normal(size=(5, 6))
+    _, _, dg = head(g, grad=True)
+    step = 1e-6
+    fd = np.zeros_like(g)
+    for i in range(g.shape[1]):  # rows score apart, so a column moves at once
+        up, down = g.copy(), g.copy()
+        up[:, i] += step
+        down[:, i] -= step
+        (u0, u1), (d0, d1) = head(up), head(down)
+        fd[:, i] = ((u0 - u1) - (d0 - d1)) / (2 * step)
+    np.testing.assert_allclose(dg, fd, rtol=1e-6, atol=1e-8)
+
+
+@pytest.mark.parametrize("family", ["proxy", "logits"])
+def test_head_scores_are_the_same_bits_with_and_without_grad(family):
+    head = score_head(family)
+    g = np.random.default_rng(2).normal(size=(7, 6))
+    plain, with_grad = head(g), head(g, grad=True)
+    assert len(plain) == 2 and len(with_grad) == 3
+    for a, b in zip(plain, with_grad):
+        assert a.shape == (7,) and a.tobytes() == b.tobytes()
 
 
 # ------------------------------------------------------------------ checkpoints

@@ -227,7 +227,7 @@ def test_first_epoch_loss_is_the_class_weighted_contrast():
     weights = {0: 8 / 12, 1: 8 / 4}
     want = 0.0
     for g in graphs:
-        emb = M.graph_embedding(g, params)
+        emb = M.graph_embedding(g, params.encoder_weights)
         own, other = ((params.proxy_malicious, params.proxy_benign) if g.label
                       else (params.proxy_benign, params.proxy_malicious))
         want += weights[g.label] * ((1 - cos(emb, own)) ** 2 + cos(emb, other) ** 2)
