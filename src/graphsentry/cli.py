@@ -565,7 +565,7 @@ def cmd_attack(args) -> None:
     if population:
         if args.mode == "whitebox":
             for g in population:
-                results.append(AT.whitebox_attack(params, g, cfg))
+                results.append(AT.whitebox_attack(victim, g, cfg))
         else:
             surrogate, agreement = AT.distill_surrogate(
                 victim.label, graphs, args.surrogate,

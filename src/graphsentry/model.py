@@ -353,13 +353,13 @@ def graph_embedding(graph: FeatureGraph, weights: list[np.ndarray]) -> np.ndarra
         raise ValueError(f"graph {graph.graph_id} is empty")
     with np.errstate(over="ignore", invalid="ignore"):
         hs, qs = gnn_layers(propagation_terms(graph), graph.features, weights)
-        g = hs[-1].mean(axis=0)
-        norm = np.linalg.norm(g)
+        g = hs[-1].sum(axis=0) / graph.node_count  # np.mean's bits, less overhead
+        sq_norm = g @ g  # finite exactly when np.linalg.norm(g) is
     for i, q in enumerate(qs):
-        if not np.all(np.isfinite(q)):
+        if not np.isfinite(q).all():
             raise ad.NonFiniteError(f"graph {graph.graph_id}: encoder layer {i} "
                                     f"output is not finite")
-    if not np.isfinite(norm):
+    if not np.isfinite(sq_norm):
         raise ad.NonFiniteError(f"graph {graph.graph_id}: embedding norm overflows")
     return g
 
@@ -408,7 +408,8 @@ def classify(head, g: np.ndarray, graph_id: str) -> tuple[int, float, float]:
     """(label, s0, s1) of graph `graph_id`'s (h,) embedding under `head`; ties
     go to malicious. Raises NonFiniteError naming the graph when a score is
     not finite (weights that overflow)."""
-    s0, s1 = (float(s[0]) for s in head(g[None]))
+    s0, s1 = head(g[None])
+    s0, s1 = float(s0[0]), float(s1[0])
     if not (math.isfinite(s0) and math.isfinite(s1)):
         raise ad.NonFiniteError(f"graph {graph_id}: scores ({s0}, {s1}) are not finite")
     return (1 if s1 >= s0 else 0), s0, s1
