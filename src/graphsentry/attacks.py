@@ -16,8 +16,13 @@ querying the victim.
 Gradients with respect to adjacency are computed by a hand-derived, batched
 reverse pass over the relaxed forward, one batch row per unordered candidate
 pair per integration step (per directed candidate edge for a victim that does
-not symmetrize); the training tape stays out of the attack hot path. A
-victim's label needs no gradient and runs the forward alone.
+not symmetrize); the training tape stays out of the attack hot path. A row
+asks for the one entry it integrates: `margin_grad_batched(features, a_batch,
+src, dst)` returns the margins f and d[b] = df_b / da_batch[b, src_b, dst_b],
+so the backward forms rows and columns src and dst of dP only and no (n, n)
+gradient per row. Each victim writes the pass's arrays into buffers it keeps
+across calls, so a chunk reuses the memory of the one before. A victim's
+label needs no gradient and runs the forward alone.
 """
 from __future__ import annotations
 
@@ -33,7 +38,8 @@ from .training import Adam, batch_tape, minibatch_epoch
 
 # Rows per margin_grad_batched call. At desk sizes (n <= 19, hidden 32) one
 # (B,n,h) float64 array of a chunk is at most 0.3 MB, so an op's operands fit
-# in a core's L2 cache (at 512 rows one array is 2.5 MB). Every op of the
+# in a core's L2 cache (at 512 rows one array is 2.5 MB), and the victim's
+# buffers, sized by the first chunk, serve every later one. Every op of the
 # relaxed pass is per row and the score heads run on fixed blocks of
 # HEAD_ROWS rows (see _fixed_rows), so the chunk size cannot change a score.
 CHUNK_ROWS = 64
@@ -113,40 +119,52 @@ class AttackSummary:
 
 
 def _margin_grad_gnn(gnn_weights: list[np.ndarray], head, x: np.ndarray,
-                     a_batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched margin and d(margin)/d(adjacency) for a GNN + readout + `head`,
-    a score head wrapped by `_fixed_rows`."""
-    n = a_batch.shape[1]
-    s, deg, live, r, p, at = M.relaxed_propagation(a_batch)
-    hs, qs = M.gnn_layers(p, x, gnn_weights)
+                     a_batch: np.ndarray, src: np.ndarray, dst: np.ndarray,
+                     buffers: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Batched margin f of a GNN + readout + `head` (a score head wrapped by
+    `_fixed_rows`) and d[b] = df_b / dA_b[src_b, dst_b].
+
+    d reads only rows and columns src and dst of dP = sum_l dm_l h_l^T, so
+    each layer adds (B, 2, n) products: dp_rows[b, i] = dP[v] and
+    dp_cols[b, i] = dP[:, v] for v = (src_b, dst_b)[i]. Layer 0's dm_0 h_0^T is
+    dq_0 (x W_0)^T, so its dm is never formed. The pass's (B, n, .) arrays
+    are written into `buffers` (see `model.scratch`)."""
+    B, n, _ = a_batch.shape
+    s, deg, live, r, p, at = M.relaxed_propagation(a_batch, buffers)
+    hs, qs = M.gnn_layers(p, x, gnn_weights, buffers)
     g = hs[-1].mean(axis=1)
 
     f, dg = head(g)
 
+    b = np.arange(B)
+    row, ends = b[:, None], np.stack([src, dst], axis=1)
+    dp_rows, dp_cols = np.zeros((B, 2, n)), np.zeros((B, 2, n))
     dh = np.broadcast_to(dg[:, None, :] / n, hs[-1].shape)
-    dp = np.zeros_like(p)
     for l in reversed(range(len(gnn_weights))):
-        dq = dh * (qs[l] > 0)
-        dm = dq @ gnn_weights[l].T
-        dp += dm @ np.swapaxes(hs[l], -1, -2)
-        if l > 0:  # nothing reads the adjoint of the input features
-            dh = dm + np.transpose(p, (0, 2, 1)) @ dm
+        dq = np.multiply(dh, qs[l] > 0, out=M.scratch(buffers, ("dq", l), dh.shape))
+        if l == 0:  # nothing reads the adjoint of the input features
+            xw = x @ gnn_weights[0]
+            dp_rows += dq[row, ends] @ xw.T
+            dp_cols += xw[ends] @ np.swapaxes(dq, -1, -2)
+        else:
+            dm = np.matmul(dq, gnn_weights[l].T,
+                           out=M.scratch(buffers, ("dm", l), hs[l].shape))
+            dp_rows += dm[row, ends] @ np.swapaxes(hs[l], -1, -2)
+            dp_cols += hs[l][row, ends] @ np.swapaxes(dm, -1, -2)
+            dh = np.matmul(np.swapaxes(p, -1, -2), dm,
+                           out=M.scratch(buffers, ("dh", l), dm.shape))
+            dh = np.add(dm, dh, out=dh)
 
-    ds = dp * r[:, :, None] * r[:, None, :]
-    dps = dp * s  # dr_v = sum_j dP_vj S_vj r_j + sum_j dP_jv S_jv r_j
-    dr = (dps @ r[:, :, None])[:, :, 0] + (r[:, None, :] @ dps)[:, 0, :]
-    ddeg = np.where(live, dr * (-0.5) * r**3, 0.0)
-    ds = ds + ddeg[:, :, None]  # deg_v is the row sum of S, so spread over the row
-    return f, _adjacency_grad(ds, at)
-
-
-def _adjacency_grad(ds: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """d(margin)/dA from d(margin)/dS, as S = A + A^T - A*A^T; the diagonal,
-    never a candidate edge, is zeroed."""
-    da = (ds + np.transpose(ds, (0, 2, 1))) * (1.0 - at)
-    idx = np.arange(ds.shape[1])
-    da[:, idx, idx] = 0.0
-    return da
+    # dr_v = sum_j dP_vj S_vj r_j + sum_j dP_jv S_jv r_j, with S symmetric
+    r_ends = r[row, ends]
+    dr = (((dp_rows + dp_cols) * s[row, ends]) @ r[:, :, None])[:, :, 0]
+    ddeg = np.where(live[row, ends], dr * (-0.5) * r_ends**3, 0.0)
+    # dS_vj = dP_vj r_v r_j + ddeg_v, as deg_v is the row sum of S; and
+    # dA_st = (dS_st + dS_ts)(1 - A_ts), as S = A + A^T - A*A^T. Written the
+    # same way for either end, so that (s,t) and (t,s) score the same bits.
+    ds_st = dp_rows[b, 0, dst] * r_ends[:, 0] * r_ends[:, 1] + ddeg[:, 0]
+    ds_ts = dp_rows[b, 1, src] * r_ends[:, 1] * r_ends[:, 0] + ddeg[:, 1]
+    return f, np.where(src == dst, 0.0, (ds_st + ds_ts) * (1.0 - at[b, src, dst]))
 
 
 def _fixed_rows(head):
@@ -165,27 +183,30 @@ def _fixed_rows(head):
     return blocked
 
 
-def _degree_summary(x: np.ndarray, a_batch: np.ndarray) -> np.ndarray:
+def _degree_summary(x: np.ndarray, a_batch: np.ndarray,
+                    buffers: dict | None = None) -> np.ndarray:
     """(B, d+1) rows [mean row of the (n, d) features, relaxed degree sum /
     (n(n-1))], one per (B, n, n) adjacency. At 0/1 entries the degree sum is
     the integer sum of max(A, A^T), whatever the order of summation."""
     B, n, _ = a_batch.shape
-    deg = M.relaxed_propagation(a_batch)[1]
+    deg = M.relaxed_propagation(a_batch, buffers)[1]
     return np.concatenate([
         np.broadcast_to(x.mean(axis=0), (B, x.shape[1])),
         deg.sum(axis=1)[:, None] / max(n * (n - 1), 1),
     ], axis=1)
 
 
-def _margin_grad_degree_mlp(head, x: np.ndarray,
-                            a_batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _margin_grad_degree_mlp(head, x: np.ndarray, a_batch: np.ndarray,
+                            src: np.ndarray, dst: np.ndarray,
+                            buffers: dict) -> tuple[np.ndarray, np.ndarray]:
     """`head` (see _fixed_rows) over `_degree_summary`; adjacency enters only
-    through the degree sum, whose derivative by S is 1 everywhere."""
+    through the degree sum, whose derivative by S is c everywhere, so
+    dA_st = 2c(1 - A_ts)."""
     n = a_batch.shape[1]
-    f, dphi = head(_degree_summary(x, a_batch))
-    ds = np.broadcast_to((dphi[:, -1] / max(n * (n - 1), 1))[:, None, None],
-                         a_batch.shape)
-    return f, _adjacency_grad(ds, np.swapaxes(a_batch, 1, 2))
+    f, dphi = head(_degree_summary(x, a_batch, buffers))
+    c = dphi[:, -1] / max(n * (n - 1), 1)
+    d = (c + c) * (1.0 - a_batch[np.arange(len(src)), dst, src])
+    return f, np.where(src == dst, 0.0, d)
 
 
 class DetectorVictim:
@@ -198,15 +219,20 @@ class DetectorVictim:
         self.params = params
         self.head = M.score_head(params)
         self.grad_head = _fixed_rows(self.head)
+        self.buffers = {}  # the relaxed pass's arrays, reused across calls
 
     def label(self, graph: FeatureGraph) -> int:
         g = M.graph_embedding(graph, self.params.encoder_weights)
         return M.classify(self.head, g, graph.graph_id)[0]
 
-    def margin_grad_batched(self, features: np.ndarray,
-                            a_batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def margin_grad_batched(self, features: np.ndarray, a_batch: np.ndarray,
+                            src: np.ndarray,
+                            dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Margins f of the (B, n, n) relaxed adjacencies `a_batch` and
+        d[b] = df_b / da_batch[b, src_b, dst_b], 0 where src_b == dst_b. The
+        results are fresh arrays; the pass's other arrays are reused."""
         return _margin_grad_gnn(self.params.encoder_weights, self.grad_head,
-                                features, a_batch)
+                                features, a_batch, src, dst, self.buffers)
 
 
 class SurrogateVictim:
@@ -222,17 +248,21 @@ class SurrogateVictim:
                         if surrogate.architecture == "gnn2_mlp" else None)
         self.head = M.logits_head(w["head.0"], w["head.1"])
         self.grad_head = _fixed_rows(self.head)
+        self.buffers = {}
 
     def label(self, graph: FeatureGraph) -> int:
         g = (M.graph_embedding(graph, self.encoder) if self.encoder
              else _degree_summary(graph.features, M.adjacency(graph)[None])[0])
         return M.classify(self.head, g, graph.graph_id)[0]
 
-    def margin_grad_batched(self, features: np.ndarray,
-                            a_batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def margin_grad_batched(self, features: np.ndarray, a_batch: np.ndarray,
+                            src: np.ndarray,
+                            dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if self.encoder:
-            return _margin_grad_gnn(self.encoder, self.grad_head, features, a_batch)
-        return _margin_grad_degree_mlp(self.grad_head, features, a_batch)
+            return _margin_grad_gnn(self.encoder, self.grad_head, features,
+                                    a_batch, src, dst, self.buffers)
+        return _margin_grad_degree_mlp(self.grad_head, features, a_batch,
+                                       src, dst, self.buffers)
 
 
 def as_victim(victim):
@@ -275,7 +305,8 @@ def edge_saliency_ig(victim, graph: FeatureGraph,
     scores are equal; one path per unordered pair is integrated, along its
     lexicographically smaller edge, and both directed keys get its score.
     Other victims integrate one path per directed candidate. Rows (one per
-    path per step) are batched and chunked.
+    path per step) are batched and chunked, and each asks the victim for
+    the one gradient entry it integrates.
     """
     if ig_steps < 1:
         raise ValueError("ig_steps must be at least 1")
@@ -298,14 +329,14 @@ def edge_saliency_ig(victim, graph: FeatureGraph,
     row_dst = np.repeat(path_dst, ig_steps)
     row_alpha = np.tile(np.arange(1, ig_steps + 1) / ig_steps, len(keys))
     grads = np.empty(len(row_src))
+    a_full = np.empty((min(CHUNK_ROWS, len(grads)), n, n))
     for start in range(0, len(grads), CHUNK_ROWS):
         rows = slice(start, start + CHUNK_ROWS)
         s, t = row_src[rows], row_dst[rows]
-        b = np.arange(len(s))
-        a_batch = np.tile(base, (len(s), 1, 1))
-        a_batch[b, s, t] = row_alpha[rows]
-        _, da = victim.margin_grad_batched(graph.features, a_batch)
-        grads[rows] = da[b, s, t]
+        a_batch = a_full[:len(s)]
+        a_batch[...] = base
+        a_batch[np.arange(len(s)), s, t] = row_alpha[rows]
+        grads[rows] = victim.margin_grad_batched(graph.features, a_batch, s, t)[1]
 
     per_step = grads.reshape(len(keys), ig_steps)
     scores = np.zeros(len(keys))

@@ -238,20 +238,44 @@ def adjacency(graph: FeatureGraph) -> np.ndarray:
     return a
 
 
-def relaxed_propagation(a: np.ndarray):
+def scratch(buffers: dict, key, shape: tuple, dtype=float) -> np.ndarray:
+    """An array of `shape` to write a result into, kept in `buffers[key]`
+    across calls. It is reused while it has `shape`'s trailing axes and at
+    least its leading length (a leading prefix is a contiguous view);
+    otherwise it is replaced by a new array of `shape`."""
+    arr = buffers.get(key)
+    if arr is None or arr.shape[1:] != shape[1:] or len(arr) < shape[0]:
+        arr = buffers[key] = np.empty(shape, dtype)
+    return arr[:shape[0]]
+
+
+def relaxed_propagation(a: np.ndarray, buffers: dict | None = None):
     """Smooth symmetrization S = A + A^T - A*A^T and normalization
     P = D^-1/2 S D^-1/2 of an (..., n, n) adjacency with entries in [0, 1],
     where D holds the row sums of S. At 0/1 entries S is the symmetrized edge
     set, and a node of degree 0 gets a zero row and column of P.
 
     Returns (S, deg, live, r, P, A^T), with live = deg > DEG_EPS and
-    r = 1/sqrt(max(deg, DEG_EPS)), which the attack's backward reads."""
+    r = 1/sqrt(max(deg, DEG_EPS)), which the attack's backward reads. With
+    `buffers` (see `scratch`) the arrays are written into them, in the same
+    order of operations, so their bits do not depend on it; without, they
+    are fresh arrays."""
+    s_out = p_out = deg_out = live_out = r_out = None
+    if buffers is not None:
+        rows = a.shape[:-1]
+        s_out, p_out = scratch(buffers, "S", a.shape), scratch(buffers, "P", a.shape)
+        deg_out, r_out = scratch(buffers, "deg", rows), scratch(buffers, "r", rows)
+        live_out = scratch(buffers, "live", rows, bool)
     at = np.swapaxes(a, -1, -2)
-    s = a + at - a * at
-    deg = s.sum(axis=-1)
-    live = deg > DEG_EPS
-    r = 1.0 / np.sqrt(np.maximum(deg, DEG_EPS))
-    p = s * r[..., :, None] * r[..., None, :]
+    s = np.add(a, at, out=s_out)
+    p = np.multiply(a, at, out=p_out)  # A*A^T, then P
+    s = np.subtract(s, p, out=s)
+    deg = s.sum(axis=-1, out=deg_out)
+    live = np.greater(deg, DEG_EPS, out=live_out)
+    r = np.maximum(deg, DEG_EPS, out=r_out)
+    r = np.divide(1.0, np.sqrt(r, out=r), out=r)
+    p = np.multiply(s, r[..., :, None], out=p)
+    p = np.multiply(p, r[..., None, :], out=p)
     return s, deg, live, r, p, at
 
 
@@ -260,15 +284,27 @@ def propagation_terms(graph: FeatureGraph) -> np.ndarray:
     return relaxed_propagation(adjacency(graph))[4]
 
 
-def gnn_layers(p: np.ndarray, x: np.ndarray, weights: list[np.ndarray]):
+def gnn_layers(p: np.ndarray, x: np.ndarray, weights: list[np.ndarray],
+               buffers: dict | None = None):
     """The GCN layer stack without a tape: h_{l+1} = relu((h_l + P h_l) W_l)
     from h_0 = x. P may carry a leading batch axis, which the rows follow.
-    Returns (hs, qs): the L+1 layer inputs/outputs and the L pre-activations."""
+    Returns (hs, qs): the L+1 layer inputs/outputs and the L pre-activations.
+    With `buffers` (see `scratch`) layer l's arrays are written into them
+    under keys that name l, in the same order of operations."""
     hs, qs = [x], []
-    for w in weights:
-        q = (hs[-1] + p @ hs[-1]) @ w
+    for l, w in enumerate(weights):
+        h = hs[-1]
+        ph_out = q_out = h_out = None
+        if buffers is not None:
+            shape = p.shape[:-1] + h.shape[-1:]
+            ph_out = scratch(buffers, ("ph", l), shape)
+            q_out = scratch(buffers, ("q", l), shape[:-1] + w.shape[1:])
+            h_out = scratch(buffers, ("h", l), q_out.shape)
+        ph = np.matmul(p, h, out=ph_out)
+        ph = np.add(h, ph, out=ph)
+        q = np.matmul(ph, w, out=q_out)
         qs.append(q)
-        hs.append(np.maximum(q, 0.0))
+        hs.append(np.maximum(q, 0.0, out=h_out))
     return hs, qs
 
 

@@ -396,10 +396,9 @@ class LinearVictim:
     def label(self, graph):
         return 1
 
-    def margin_grad_batched(self, x, a_batch):
+    def margin_grad_batched(self, x, a_batch, src, dst):
         margins = (a_batch * self.w).sum(axis=(1, 2))
-        grads = np.broadcast_to(self.w, a_batch.shape).copy()
-        return margins, grads
+        return margins, np.where(src == dst, 0.0, self.w[src, dst])
 
 
 def test_criterion_09_ig_exact_on_linear_victim():

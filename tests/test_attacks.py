@@ -45,9 +45,9 @@ class LinearVictim:
     def label(self, graph):
         return 1
 
-    def margin_grad_batched(self, features, a_batch):
+    def margin_grad_batched(self, features, a_batch, src, dst):
         f = (a_batch * self.w).sum(axis=(1, 2))
-        return f, np.tile(self.w, (a_batch.shape[0], 1, 1))
+        return f, np.where(src == dst, 0.0, self.w[src, dst])
 
 
 class EdgeBlindVictim:
@@ -56,9 +56,8 @@ class EdgeBlindVictim:
     def label(self, graph):
         return 1
 
-    def margin_grad_batched(self, features, a_batch):
-        B, n, _ = a_batch.shape
-        return np.zeros(B), np.zeros((B, n, n))
+    def margin_grad_batched(self, features, a_batch, src, dst):
+        return np.zeros(len(a_batch)), np.zeros(len(a_batch))
 
 
 class ThresholdVictim:
@@ -67,11 +66,8 @@ class ThresholdVictim:
     def label(self, graph):
         return 0 if (0, 2) in graph.edge_set() else 1
 
-    def margin_grad_batched(self, features, a_batch):
-        B, n, _ = a_batch.shape
-        grad = np.zeros((B, n, n))
-        grad[:, 0, 2] = 5.0
-        return a_batch[:, 0, 2] * 5.0, grad
+    def margin_grad_batched(self, features, a_batch, src, dst):
+        return a_batch[:, 0, 2] * 5.0, np.where((src == 0) & (dst == 2), 5.0, 0.0)
 
 
 class RowCounter:
@@ -83,13 +79,19 @@ class RowCounter:
         self.victim = victim
         self.rows = 0
 
-    def margin_grad_batched(self, features, a_batch):
+    def margin_grad_batched(self, features, a_batch, src, dst):
         self.rows += a_batch.shape[0]
-        return self.victim.margin_grad_batched(features, a_batch)
+        return self.victim.margin_grad_batched(features, a_batch, src, dst)
 
 
 class SymmetricRowCounter(RowCounter):
     symmetrizes = True
+
+
+def margin(victim, features, a_batch):
+    """The relaxed margins of `a_batch`; the entry asked for, (0, 0), is no edge."""
+    pick = np.zeros(len(a_batch), dtype=np.intp)
+    return victim.margin_grad_batched(features, a_batch, pick, pick)[0]
 
 
 # ---------------------------------------------------- relaxed forward correctness
@@ -100,7 +102,7 @@ def test_relaxed_margin_at_binary_adjacency_matches_predict(head):
         g = rand_graph(6, seed)
         params = rand_params(seed, head=head)
         victim = AT.DetectorVictim(params)
-        f, _ = victim.margin_grad_batched(g.features, M.adjacency(g)[None])
+        f = margin(victim, g.features, M.adjacency(g)[None])
         _, s0, s1 = M.predict(g, params)
         assert f[0] == pytest.approx(s0 - s1, abs=1e-12), seed
 
@@ -112,8 +114,7 @@ def test_relaxed_margin_matches_predict_at_any_depth(layers):
     g = rand_graph(6, 4)
     for head in (False, True):
         params = rand_params(layers, head=head, layers=layers)
-        f, _ = AT.DetectorVictim(params).margin_grad_batched(
-            g.features, M.adjacency(g)[None])
+        f = margin(AT.DetectorVictim(params), g.features, M.adjacency(g)[None])
         _, s0, s1 = M.predict(g, params)
         assert f[0] == pytest.approx(s0 - s1, abs=1e-12), head
 
@@ -122,7 +123,7 @@ def test_surrogate_gnn_margin_matches_tape_forward():
     g = rand_graph(5, 3)
     sp = AT._init_surrogate("gnn2_mlp", D, 8, rng_seed=0)
     victim = AT.SurrogateVictim(sp)
-    f, _ = victim.margin_grad_batched(g.features, M.adjacency(g)[None])
+    f = margin(victim, g.features, M.adjacency(g)[None])
     tape = ad.Tape()
     enc = [tape.constant(sp.weights["enc.0"]), tape.constant(sp.weights["enc.1"])]
     head = [tape.constant(sp.weights["head.0"]), tape.constant(sp.weights["head.1"])]
@@ -146,7 +147,7 @@ def test_surrogate_label_is_the_sign_of_the_relaxed_margin(arch):
     labels = set()
     for victim in (AT.SurrogateVictim(sp), AT.SurrogateVictim(flipped)):
         for g in graphs:
-            f, _ = victim.margin_grad_batched(g.features, M.adjacency(g)[None])
+            f = margin(victim, g.features, M.adjacency(g)[None])
             emb = (M.graph_embedding(g, victim.encoder) if arch == "gnn2_mlp"
                    else AT._degree_summary(g.features, M.adjacency(g)[None])[0])
             _, s0, s1 = M.classify(victim.head, emb, g.graph_id)
@@ -186,38 +187,73 @@ def test_surrogate_label_rejects_overflowing_weights(arch):
             AT.SurrogateVictim(huge).label(g)
 
 
-def fd_adjacency_grad(victim, features, a, step=1e-6):
-    """Central differences of the batched margin forward, one entry at a time."""
-    n = a.shape[0]
-    grad = np.zeros((n, n))
-    for s in range(n):
-        for t in range(n):
-            if s == t:
-                continue
-            up, down = a.copy(), a.copy()
-            up[s, t] += step
-            down[s, t] -= step
-            f, _ = victim.margin_grad_batched(features, np.stack([up, down]))
-            grad[s, t] = (f[0] - f[1]) / (2 * step)
-    return grad
+VICTIM_KINDS = ("proxy", "head", "gnn2_mlp", "degree_mlp")
 
 
-@pytest.mark.parametrize("case", ["proxy", "head", "gnn2_mlp", "degree_mlp"])
+def make_victim(case, seed):
+    if case in ("proxy", "head"):
+        return AT.DetectorVictim(rand_params(seed, head=case == "head"))
+    arch = "gnn2_mlp" if case == "gnn2_mlp" else "mlp_on_degree_features"
+    return AT.SurrogateVictim(AT._init_surrogate(arch, D, 8, seed))
+
+
+def fd_entry_grad(victim, features, a_batch, src, dst, step=1e-6):
+    """Central differences of the batched margin forward in entry
+    (src_b, dst_b) of each row; 0 on the diagonal, which is no edge."""
+    b = np.arange(len(a_batch))
+    up, down = a_batch.copy(), a_batch.copy()
+    up[b, src, dst] += step
+    down[b, src, dst] -= step
+    fd = (margin(victim, features, up) - margin(victim, features, down)) / (2 * step)
+    return np.where(src == dst, 0.0, fd)
+
+
+def all_pairs(n):
+    return [np.array(v) for v in zip(*[(s, t) for s in range(n) for t in range(n)])]
+
+
+@pytest.mark.parametrize("case", VICTIM_KINDS)
 def test_batched_adjacency_gradient_matches_finite_differences(case):
     g = rand_graph(5, 11)
-    if case in ("proxy", "head"):
-        victim = AT.DetectorVictim(rand_params(7, head=case == "head"))
-    elif case == "gnn2_mlp":
-        victim = AT.SurrogateVictim(AT._init_surrogate("gnn2_mlp", D, 8, 5))
-    else:
-        victim = AT.SurrogateVictim(AT._init_surrogate("mlp_on_degree_features", D, 8, 5))
+    victim = make_victim(case, 7 if case in ("proxy", "head") else 5)
     # fractional interior point: all entries strictly inside (0,1)
     rng = np.random.default_rng(13)
     a = rng.uniform(0.1, 0.9, size=(5, 5))
     np.fill_diagonal(a, 0.0)
-    _, da = victim.margin_grad_batched(g.features, a[None])
-    fd = fd_adjacency_grad(victim, g.features, a)
-    np.testing.assert_allclose(da[0], fd, rtol=1e-5, atol=1e-8)
+    src, dst = all_pairs(5)  # one row per entry, each at the same a
+    a_batch = np.tile(a, (len(src), 1, 1))
+    _, d = victim.margin_grad_batched(g.features, a_batch, src, dst)
+    np.testing.assert_allclose(d, fd_entry_grad(victim, g.features, a_batch, src, dst),
+                               rtol=1e-5, atol=1e-8)
+
+
+@pytest.mark.parametrize("case", VICTIM_KINDS)
+def test_entry_gradient_matches_finite_differences_where_ig_looks(case):
+    """IG's points: a 0/1 base, here with an isolated node, and one missing
+    entry set to k/m, the isolated node's own entries among them."""
+    steps, n, isolated = 4, 7, 6
+    full = rand_graph(n, 12, p=0.35)
+    g = FeatureGraph(n, [e for e in full.edges if isolated not in e],
+                     full.features, 1, "iso")
+    base = M.adjacency(g)
+    src, dst = all_pairs(n)
+    missing = (base[src, dst] == 0) & (src != dst)
+    src, dst = np.repeat(src[missing], steps), np.repeat(dst[missing], steps)
+    alpha = np.tile(np.arange(1, steps + 1) / steps, missing.sum())
+    a_batch = np.tile(base, (len(src), 1, 1))
+    a_batch[np.arange(len(src)), src, dst] = alpha
+    assert np.any(src == isolated) and not base[isolated].any()
+    assert not base[:, isolated].any()
+    victim = make_victim(case, 8)
+    _, d = victim.margin_grad_batched(g.features, a_batch, src, dst)
+    np.testing.assert_allclose(d, fd_entry_grad(victim, g.features, a_batch, src, dst),
+                               rtol=1e-5, atol=1e-8)
+    assert np.any(np.abs(d) > 1e-6)
+    # a row whose entry is on the diagonal gets 0
+    loops = np.arange(n)
+    _, d = victim.margin_grad_batched(g.features, np.tile(base, (n, 1, 1)),
+                                      loops, loops)
+    assert np.array_equal(d, np.zeros(n))
 
 
 def test_gradient_batch_rows_are_independent():
@@ -227,11 +263,41 @@ def test_gradient_batch_rows_are_independent():
     batch = rng.uniform(0.0, 1.0, size=(4, 5, 5))
     for b in range(4):
         np.fill_diagonal(batch[b], 0.0)
-    f_all, da_all = victim.margin_grad_batched(g.features, batch)
+    src, dst = np.array([0, 1, 4, 2]), np.array([3, 0, 2, 2])
+    f_all, d_all = victim.margin_grad_batched(g.features, batch, src, dst)
     for b in range(4):
-        f1, da1 = victim.margin_grad_batched(g.features, batch[b:b + 1])
+        f1, d1 = victim.margin_grad_batched(g.features, batch[b:b + 1],
+                                            src[b:b + 1], dst[b:b + 1])
         assert f_all[b] == pytest.approx(f1[0], abs=1e-12)
-        np.testing.assert_allclose(da_all[b], da1[0], atol=1e-12)
+        assert d_all[b] == pytest.approx(d1[0], abs=1e-12)
+
+
+def random_rows(n, count, seed):
+    """`count` fractional adjacencies of n nodes and an entry of each."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0.0, 1.0, size=(count, n, n))
+    a[:, np.arange(n), np.arange(n)] = 0.0
+    return a, rng.integers(0, n, size=count), rng.integers(0, n, size=count)
+
+
+@pytest.mark.parametrize("case", VICTIM_KINDS)
+def test_victim_buffers_do_not_show_in_results(case):
+    """A victim reuses its arrays across calls: one that has scored a graph
+    of another size, and more rows of this one, gives the bits of a fresh
+    victim, and a later call leaves the results of an earlier one alone."""
+    small, big = rand_graph(5, 14), rand_graph(9, 15)
+    a, src, dst = random_rows(9, 20, 16)
+    want = make_victim(case, 17).margin_grad_batched(big.features, a, src, dst)
+    used = make_victim(case, 17)
+    used.margin_grad_batched(small.features, *random_rows(5, 30, 18))
+    used.margin_grad_batched(big.features, *random_rows(9, 50, 19))
+    got = used.margin_grad_batched(big.features, a, src, dst)
+    kept = [arr.copy() for arr in got]
+    for w, arr in zip(want, got):
+        assert np.array_equal(w, arr)
+    used.margin_grad_batched(big.features, *random_rows(9, 20, 20))
+    for k, arr in zip(kept, got):
+        assert np.array_equal(k, arr)
 
 
 # ---------------------------------------------------- saliency
@@ -267,7 +333,7 @@ def test_ig_matches_fine_trapezoid_quadrature():
         for j, alpha in enumerate(alphas):
             batch[2 * j, s, t] = alpha + h
             batch[2 * j + 1, s, t] = alpha - h
-        f, _ = victim.margin_grad_batched(g.features, batch)
+        f = margin(victim, g.features, batch)
         grads = (f[0::2] - f[1::2]) / (2 * h)
         oracle = np.trapezoid(grads, alphas)
         assert scores[(s, t)] == pytest.approx(oracle, rel=0.01), (s, t)
@@ -283,23 +349,32 @@ def test_saliency_rejects_complete_graphs():
 def test_saliency_chunking_does_not_change_scores(monkeypatch):
     """Every op of the relaxed pass is per row and the score heads run on
     fixed row blocks, so any chunk size gives the same score bits, for every
-    victim kind."""
+    victim kind, also from a victim whose arrays hold another graph's pass."""
     g = rand_graph(12, 8, p=0.2)
-    victims = {
-        "proxy": AT.DetectorVictim(rand_params(9)),
-        "head": AT.DetectorVictim(rand_params(9, head=True)),
-        "gnn2_mlp": AT.SurrogateVictim(AT._init_surrogate("gnn2_mlp", D, 8, 3)),
-        "degree_mlp": AT.SurrogateVictim(
-            AT._init_surrogate("mlp_on_degree_features", D, 8, 3)),
-    }
+
+    def victims():
+        return {
+            "proxy": AT.DetectorVictim(rand_params(9)),
+            "head": AT.DetectorVictim(rand_params(9, head=True)),
+            "gnn2_mlp": AT.SurrogateVictim(AT._init_surrogate("gnn2_mlp", D, 8, 3)),
+            "degree_mlp": AT.SurrogateVictim(
+                AT._init_surrogate("mlp_on_degree_features", D, 8, 3)),
+        }
     default = AT.CHUNK_ROWS
     pairs = {frozenset(e) for e in AT.candidate_edges(g, symmetric=True)}
     assert len(pairs) * 4 > 2 * default  # the default size makes several chunks
-    for name, victim in victims.items():
+    other = rand_graph(12, 10, p=0.1)  # more candidates, so larger arrays
+    assert len(AT.candidate_edges(other, symmetric=True)) > 2 * len(pairs)
+    used = victims()
+    monkeypatch.setattr(AT, "CHUNK_ROWS", 10**6)
+    for victim in used.values():
+        AT.edge_saliency_ig(victim, other, 4)
+    monkeypatch.setattr(AT, "CHUNK_ROWS", default)
+    for name, victim in victims().items():
         want = AT.edge_saliency_ig(victim, g, 4)
         for rows in (1, 7, default, 10**6):
             monkeypatch.setattr(AT, "CHUNK_ROWS", rows)
-            assert AT.edge_saliency_ig(victim, g, 4) == want, (name, rows)
+            assert AT.edge_saliency_ig(used[name], g, 4) == want, (name, rows)
         monkeypatch.setattr(AT, "CHUNK_ROWS", default)
 
 
@@ -604,9 +679,10 @@ def test_surrogate_gradient_shapes():
     g = rand_graph(5, 80)
     for arch in AT.ARCHITECTURES:
         sp = AT._init_surrogate(arch, D, 8, 0)
-        f, da = AT.SurrogateVictim(sp).margin_grad_batched(
-            g.features, np.tile(M.adjacency(g), (3, 1, 1)))
-        assert f.shape == (3,) and da.shape == (3, 5, 5)
+        f, d = AT.SurrogateVictim(sp).margin_grad_batched(
+            g.features, np.tile(M.adjacency(g), (3, 1, 1)), np.arange(3),
+            np.ones(3, dtype=int))
+        assert f.shape == (3,) and d.shape == (3,)
 
 
 def test_distill_rejects_bad_labels_and_empty_input():

@@ -1,11 +1,13 @@
 """The names the benchmark's tracer wraps exist where it looks for them.
 
 perfbench/tracing.py wraps package functions by module path, methods through
-their class's own `__dict__`, and autodiff ops by name. A renamed function, a
-method moved to a base class or a deleted op would otherwise show only when
-a traced benchmark run fails.
+their class's own `__dict__`, and autodiff ops by name, and counts IG rows
+from argument positions. A renamed function, a method moved to a base class,
+a deleted op or a moved argument would otherwise show only when a traced
+benchmark run fails or miscounts.
 """
 import importlib
+import inspect
 import os
 import sys
 
@@ -33,3 +35,14 @@ def test_every_method_span_is_defined_on_its_own_class():
 def test_every_op_function_is_in_autodiff():
     ad = importlib.import_module("graphsentry.autodiff")
     assert [name for name in tracing.OP_FUNCTIONS if not hasattr(ad, name)] == []
+
+
+def test_argument_positions_the_row_counters_read():
+    """`_count_rows` reads a margin_grad_batched call's a_batch as its third
+    positional argument (after self and features), and `_count_pairs` reads
+    edge_saliency_ig's ig_steps as its third."""
+    attacks = importlib.import_module("graphsentry.attacks")
+    for cls in (attacks.DetectorVictim, attacks.SurrogateVictim):
+        params = list(inspect.signature(cls.margin_grad_batched).parameters)
+        assert params[:3] == ["self", "features", "a_batch"], cls.__name__
+    assert list(inspect.signature(attacks.edge_saliency_ig).parameters)[2] == "ig_steps"
