@@ -40,15 +40,16 @@ from .training import Adam, batch_tape, minibatch_epoch
 # (B,n,h) float64 array of a chunk is at most 0.3 MB, so an op's operands fit
 # in a core's L2 cache (at 512 rows one array is 2.5 MB), and the victim's
 # buffers, sized by the first chunk, serve every later one. Every op of the
-# relaxed pass is per row and the score heads run on fixed blocks of
-# HEAD_ROWS rows (see _fixed_rows), so the chunk size cannot change a score.
+# relaxed pass, the score heads' too, is per row, so the chunk size cannot
+# change a score.
 CHUNK_ROWS = 64
-HEAD_ROWS = 64  # one shape for every head call, a multiple of BLAS's row blocking
-# Candidates whose IG scores lie within TIE_TOLERANCE * max(|best|, TIE_FLOOR)
+# Candidates whose IG scores lie within max(TIE_TOLERANCE * |best|, TIE_FLOOR)
 # of the best are tied, and the lexicographically smallest of them is picked.
 # A change of float order moves a score by a few ulps (about 1e-16 relative);
 # the window is several orders of magnitude wider, so such noise cannot decide
-# between near-equal candidates. TIE_FLOOR only matters when the best is 0.
+# between near-equal candidates. Scores that are all rounding noise about 0,
+# as a surrogate can give every candidate of an edgeless graph, tie through
+# the absolute TIE_FLOOR.
 TIE_TOLERANCE = 1e-9
 TIE_FLOOR = 1e-12
 
@@ -121,8 +122,8 @@ class AttackSummary:
 def _margin_grad_gnn(gnn_weights: list[np.ndarray], head, x: np.ndarray,
                      a_batch: np.ndarray, src: np.ndarray, dst: np.ndarray,
                      buffers: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Batched margin f of a GNN + readout + `head` (a score head wrapped by
-    `_fixed_rows`) and d[b] = df_b / dA_b[src_b, dst_b].
+    """Batched margin f = s0 - s1 of a GNN + readout + score `head` (see
+    `model.proxy_head`) and d[b] = df_b / dA_b[src_b, dst_b].
 
     d reads only rows and columns src and dst of dP = sum_l dm_l h_l^T, so
     each layer adds (B, 2, n) products: dp_rows[b, i] = dP[v] and
@@ -134,7 +135,7 @@ def _margin_grad_gnn(gnn_weights: list[np.ndarray], head, x: np.ndarray,
     hs, qs = M.gnn_layers(p, x, gnn_weights, buffers)
     g = hs[-1].mean(axis=1)
 
-    f, dg = head(g)
+    s0, s1, dg = head(g, grad=True)
 
     b = np.arange(B)
     row, ends = b[:, None], np.stack([src, dst], axis=1)
@@ -164,23 +165,7 @@ def _margin_grad_gnn(gnn_weights: list[np.ndarray], head, x: np.ndarray,
     # same way for either end, so that (s,t) and (t,s) score the same bits.
     ds_st = dp_rows[b, 0, dst] * r_ends[:, 0] * r_ends[:, 1] + ddeg[:, 0]
     ds_ts = dp_rows[b, 1, src] * r_ends[:, 1] * r_ends[:, 0] + ddeg[:, 1]
-    return f, np.where(src == dst, 0.0, (ds_st + ds_ts) * (1.0 - at[b, src, dst]))
-
-
-def _fixed_rows(head):
-    """A score head's margin s0 - s1 and its gradient, evaluated on blocks of
-    exactly HEAD_ROWS rows, the last one zero-padded. BLAS picks its kernel
-    for a (B,h) product by B, so without this a row's bits would depend on
-    how many rows share its chunk."""
-    def blocked(g):
-        rows = len(g)
-        padded = np.zeros((-(-rows // HEAD_ROWS) * HEAD_ROWS, g.shape[1]))
-        padded[:rows] = g
-        parts = [head(padded[i:i + HEAD_ROWS], grad=True)
-                 for i in range(0, len(padded), HEAD_ROWS)]
-        return (np.concatenate([s0 - s1 for s0, s1, _ in parts])[:rows],
-                np.concatenate([dg for _, _, dg in parts])[:rows])
-    return blocked
+    return s0 - s1, np.where(src == dst, 0.0, (ds_st + ds_ts) * (1.0 - at[b, src, dst]))
 
 
 def _degree_summary(x: np.ndarray, a_batch: np.ndarray,
@@ -199,14 +184,14 @@ def _degree_summary(x: np.ndarray, a_batch: np.ndarray,
 def _margin_grad_degree_mlp(head, x: np.ndarray, a_batch: np.ndarray,
                             src: np.ndarray, dst: np.ndarray,
                             buffers: dict) -> tuple[np.ndarray, np.ndarray]:
-    """`head` (see _fixed_rows) over `_degree_summary`; adjacency enters only
-    through the degree sum, whose derivative by S is c everywhere, so
+    """Score `head`'s margin s0 - s1 over `_degree_summary`; adjacency enters
+    only through the degree sum, whose derivative by S is c everywhere, so
     dA_st = 2c(1 - A_ts)."""
     n = a_batch.shape[1]
-    f, dphi = head(_degree_summary(x, a_batch, buffers))
+    s0, s1, dphi = head(_degree_summary(x, a_batch, buffers), grad=True)
     c = dphi[:, -1] / max(n * (n - 1), 1)
     d = (c + c) * (1.0 - a_batch[np.arange(len(src)), dst, src])
-    return f, np.where(src == dst, 0.0, d)
+    return s0 - s1, np.where(src == dst, 0.0, d)
 
 
 class DetectorVictim:
@@ -218,7 +203,6 @@ class DetectorVictim:
     def __init__(self, params: M.ModelParams):
         self.params = params
         self.head = M.score_head(params)
-        self.grad_head = _fixed_rows(self.head)
         self.buffers = {}  # the relaxed pass's arrays, reused across calls
 
     def label(self, graph: FeatureGraph) -> int:
@@ -231,7 +215,7 @@ class DetectorVictim:
         """Margins f of the (B, n, n) relaxed adjacencies `a_batch` and
         d[b] = df_b / da_batch[b, src_b, dst_b], 0 where src_b == dst_b. The
         results are fresh arrays; the pass's other arrays are reused."""
-        return _margin_grad_gnn(self.params.encoder_weights, self.grad_head,
+        return _margin_grad_gnn(self.params.encoder_weights, self.head,
                                 features, a_batch, src, dst, self.buffers)
 
 
@@ -247,7 +231,6 @@ class SurrogateVictim:
         self.encoder = ([w["enc.0"], w["enc.1"]]
                         if surrogate.architecture == "gnn2_mlp" else None)
         self.head = M.logits_head(w["head.0"], w["head.1"])
-        self.grad_head = _fixed_rows(self.head)
         self.buffers = {}
 
     def label(self, graph: FeatureGraph) -> int:
@@ -259,9 +242,9 @@ class SurrogateVictim:
                             src: np.ndarray,
                             dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if self.encoder:
-            return _margin_grad_gnn(self.encoder, self.grad_head, features,
+            return _margin_grad_gnn(self.encoder, self.head, features,
                                     a_batch, src, dst, self.buffers)
-        return _margin_grad_degree_mlp(self.grad_head, features, a_batch,
+        return _margin_grad_degree_mlp(self.head, features, a_batch,
                                        src, dst, self.buffers)
 
 
@@ -365,13 +348,13 @@ def _add_edges(graph: FeatureGraph, new_edges: list[tuple[int, int]]) -> Feature
 def pick_edges(scores: dict[tuple[int, int], float],
                count: int) -> list[tuple[int, int]]:
     """Up to `count` edges, one at a time: the lexicographically smallest of
-    the candidates left whose score is at least best - TIE_TOLERANCE *
-    max(|best|, TIE_FLOOR), where best is the top score among them."""
+    the candidates left whose score is at least best - max(TIE_TOLERANCE *
+    |best|, TIE_FLOOR), where best is the top score among them."""
     left = dict(scores)
     picks = []
     for _ in range(min(count, len(left))):
         best = max(left.values())
-        cut = best - TIE_TOLERANCE * max(abs(best), TIE_FLOOR)
+        cut = best - max(TIE_TOLERANCE * abs(best), TIE_FLOOR)
         pick = min(e for e, s in left.items() if s >= cut)
         picks.append(pick)
         del left[pick]

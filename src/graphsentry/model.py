@@ -403,33 +403,38 @@ def graph_embedding(graph: FeatureGraph, weights: list[np.ndarray]) -> np.ndarra
 def proxy_head(p0: np.ndarray, p1: np.ndarray):
     """The proxy family's score head. A score head maps (B, h) rows g to the
     (B,) benign and malicious scores (s0, s1); head(g, grad=True) adds the
-    (B, h) gradient of the margin s0 - s1 by g. Here the scores are cosines to
-    the proxies; a row whose norm is clamped gets none through its norm."""
+    (B, h) gradient of the margin s0 - s1 by g. It multiplies the rows as a
+    (B, 1, h) stack, g[:, None] @ w: B 1-row products, which give a row the
+    same bits in any batch, where BLAS picks its kernel for a plain (B, h)
+    product by B. Here the scores are cosines to the proxies; a row whose
+    norm is clamped gets none through its norm."""
     n0 = max(float(np.linalg.norm(p0)), ad.NORM_CLAMP)
     n1 = max(float(np.linalg.norm(p1)), ad.NORM_CLAMP)
+    proxies = np.stack([p0, p1], axis=1)
+    du = p0 / n0 - p1 / n1  # gn times the margin's gradient, less its radial part
 
     def head(g, grad=False):
-        raw = np.linalg.norm(g, axis=1)
+        raw = np.sqrt(np.add.reduce(g * g, axis=1))  # np.linalg.norm, less overhead
         gn = np.maximum(raw, ad.NORM_CLAMP)
-        c0 = (g @ p0) / (gn * n0)
-        c1 = (g @ p1) / (gn * n1)
+        dots = g[:, None] @ proxies
+        c0, c1 = dots[:, 0, 0] / (gn * n0), dots[:, 0, 1] / (gn * n1)
         if not grad:
             return c0, c1
-        glive = (raw > ad.NORM_CLAMP)[:, None]
-        dc0 = p0[None, :] / (gn * n0)[:, None] - (c0 / gn**2)[:, None] * g * glive
-        dc1 = p1[None, :] / (gn * n1)[:, None] - (c1 / gn**2)[:, None] * g * glive
-        return c0, c1, dc0 - dc1
+        live = raw > ad.NORM_CLAMP
+        return c0, c1, (du - g * ((c0 - c1) * live / gn)[:, None]) / gn[:, None]
     return head
 
 
 def logits_head(w0: np.ndarray, w1: np.ndarray):
     """The MLP family's score head: the logits relu(g W0) W1."""
     u = w1[:, 0] - w1[:, 1]  # the margin's weights on the hidden layer
+    w0t = np.ascontiguousarray(w0.T)
 
     def head(g, grad=False):
-        pre = g @ w0
-        s0, s1 = (np.maximum(pre, 0.0) @ w1).T
-        return (s0, s1, (u[None, :] * (pre > 0)) @ w0.T) if grad else (s0, s1)
+        pre = g[:, None] @ w0
+        s = np.maximum(pre, 0.0) @ w1
+        s0, s1 = s[:, 0, 0], s[:, 0, 1]
+        return (s0, s1, ((u * (pre > 0)) @ w0t)[:, 0]) if grad else (s0, s1)
     return head
 
 

@@ -35,6 +35,7 @@ from .losses import (LossWeights, contrastive_loss, cross_entropy_logits,
                      joint_loss, reconstruction_loss)
 
 VARIANTS = ("full", "minus_c", "minus_r", "minus_cr")
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # moment decays, denominator guard
 
 
 class TrainingDiverged(RuntimeError):
@@ -70,6 +71,10 @@ class TrainConfig:
             raise ValueError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
         if self.lambda1 < 0 or self.lambda2 < 0:
             raise ValueError("loss weights must be non-negative")
+        if self.lambda2 == 0 and (self.lambda1 == 0 or not self.uses_masking):
+            unused = "" if self.uses_masking else ", which does not use lambda1,"
+            raise ValueError(f"lambda1={self.lambda1} and lambda2={self.lambda2} give "
+                             f"variant {self.variant!r}{unused} a zero objective")
 
     @property
     def uses_masking(self) -> bool:
@@ -127,24 +132,22 @@ class TrainReport:
 class Adam:
     """Adaptive moment estimation over a named parameter dict."""
 
-    def __init__(self, arrays: dict[str, np.ndarray], learning_rate: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, arrays: dict[str, np.ndarray], learning_rate: float):
         self.lr = learning_rate
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in arrays.items()}
         self.v = {k: np.zeros_like(v) for k, v in arrays.items()}
 
     def step(self, arrays: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         for k, arr in arrays.items():
             g = grads[k]
             self.m[k] = b1 * self.m[k] + (1 - b1) * g
             self.v[k] = b2 * self.v[k] + (1 - b2) * g * g
             mhat = self.m[k] / (1 - b1 ** self.t)
             vhat = self.v[k] / (1 - b2 ** self.t)
-            arr -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            arr -= self.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 def minibatch_epoch(arrays: dict[str, np.ndarray], optimizer: Adam,

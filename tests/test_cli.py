@@ -217,6 +217,18 @@ def test_train_bad_gamma_exit_2(workspace, tmp_path, capsys):
     assert "gamma" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("variant, weights", [
+    ("minus_cr", dict(lambda1=1.0, lambda2=0.0)),
+    ("full", dict(lambda1=0.0, lambda2=0.0))])
+def test_train_zero_objective_exit_2(workspace, tmp_path, capsys, variant, weights):
+    """Such weights once passed the config check and ended in a traceback."""
+    cfg = write_cfg(tmp_path / "t.cfg", **{**TRAIN_KV, **weights})
+    assert cli.main(["train", workspace["dataset"], cfg, str(tmp_path / "out"),
+                     "--variant", variant]) == 2
+    err = capsys.readouterr().err
+    assert "lambda1" in err and "lambda2" in err and variant in err
+
+
 def test_train_divergence_exit_1(workspace, tmp_path, capsys):
     cfg = write_cfg(tmp_path / "t.cfg",
                     **{**TRAIN_KV, "learning_rate": 1e200, "max_epochs": 3})

@@ -418,6 +418,21 @@ def test_head_scores_are_the_same_bits_with_and_without_grad(family):
         assert a.shape == (7,) and a.tobytes() == b.tobytes()
 
 
+@pytest.mark.parametrize("family", ["proxy", "logits"])
+def test_head_rows_do_not_depend_on_their_batch(family):
+    """A row's scores and gradient are the same bits whatever rows share its
+    call: alone, at any offset and in batches of any size, as BLAS picks its
+    kernel for a plain (B, h) product by B."""
+    for h in (3, 32):
+        head = score_head(family, h=h, seed=h)
+        g = np.random.default_rng(3).normal(size=(130, h))
+        whole = head(g, grad=True)
+        for start, stop in ((0, 1), (5, 6), (0, 7), (3, 40), (1, 65), (60, 130)):
+            part = head(g[start:stop], grad=True)
+            for a, b in zip(whole, part):
+                assert a[start:stop].tobytes() == b.tobytes(), (h, start, stop)
+
+
 # ------------------------------------------------------------------ checkpoints
 
 def test_checkpoint_round_trips_bit_exactly(tmp_path):

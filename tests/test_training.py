@@ -114,10 +114,13 @@ def test_adam_moves_toward_lower_loss():
 # ------------------------------------------------------------------ config
 
 def test_config_rejects_bad_fields():
+    # the last two leave a zero objective; minus_cr does not use lambda1
     for bad in (dict(gamma=1.0), dict(learning_rate=0.0), dict(early_stop_patience=0),
-                dict(variant="nope"), dict(batch_size=0)):
+                dict(variant="nope"), dict(batch_size=0), dict(lambda1=0.0, lambda2=0.0),
+                dict(variant="minus_cr", lambda2=0.0)):
         with pytest.raises(ValueError):
             small_config(**bad).validate()
+    small_config(lambda2=0.0).validate()  # full keeps its reconstruction term
 
 
 def test_train_rejects_empty_or_mismatched_inputs():
