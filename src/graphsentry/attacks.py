@@ -22,7 +22,9 @@ src, dst)` returns the margins f and d[b] = df_b / da_batch[b, src_b, dst_b],
 so the backward forms rows and columns src and dst of dP only and no (n, n)
 gradient per row. Each victim writes the pass's arrays into buffers it keeps
 across calls, so a chunk reuses the memory of the one before. A victim's
-label needs no gradient and runs the forward alone.
+labels need no gradient: `labels` runs the inference forward over stacks of
+graphs of one node count (`model.graph_embeddings`), and distillation
+labels its training graphs that way.
 """
 from __future__ import annotations
 
@@ -119,11 +121,13 @@ class AttackSummary:
 # ------------------------------------------------------------------ relaxed forward
 
 
-def _margin_grad_gnn(gnn_weights: list[np.ndarray], head, x: np.ndarray,
-                     a_batch: np.ndarray, src: np.ndarray, dst: np.ndarray,
-                     buffers: dict) -> tuple[np.ndarray, np.ndarray]:
+def _margin_grad_gnn(gnn_weights: list[np.ndarray], transposes: list[np.ndarray],
+                     head, x: np.ndarray, a_batch: np.ndarray, src: np.ndarray,
+                     dst: np.ndarray, buffers: dict) -> tuple[np.ndarray, np.ndarray]:
     """Batched margin f = s0 - s1 of a GNN + readout + score `head` (see
-    `model.proxy_head`) and d[b] = df_b / dA_b[src_b, dst_b].
+    `model.proxy_head`) and d[b] = df_b / dA_b[src_b, dst_b]. `transposes`
+    holds each layer weight's transpose as a contiguous array, which numpy
+    multiplies by faster than a transposed view.
 
     d reads only rows and columns src and dst of dP = sum_l dm_l h_l^T, so
     each layer adds (B, 2, n) products: dp_rows[b, i] = dP[v] and
@@ -148,7 +152,7 @@ def _margin_grad_gnn(gnn_weights: list[np.ndarray], head, x: np.ndarray,
             dp_rows += dq[row, ends] @ xw.T
             dp_cols += xw[ends] @ np.swapaxes(dq, -1, -2)
         else:
-            dm = np.matmul(dq, gnn_weights[l].T,
+            dm = np.matmul(dq, transposes[l],
                            out=M.scratch(buffers, ("dm", l), hs[l].shape))
             dp_rows += dm[row, ends] @ np.swapaxes(hs[l], -1, -2)
             dp_cols += hs[l][row, ends] @ np.swapaxes(dm, -1, -2)
@@ -170,15 +174,25 @@ def _margin_grad_gnn(gnn_weights: list[np.ndarray], head, x: np.ndarray,
 
 def _degree_summary(x: np.ndarray, a_batch: np.ndarray,
                     buffers: dict | None = None) -> np.ndarray:
-    """(B, d+1) rows [mean row of the (n, d) features, relaxed degree sum /
-    (n(n-1))], one per (B, n, n) adjacency. At 0/1 entries the degree sum is
+    """(B, d+1) rows [mean row of the features, relaxed degree sum /
+    (n(n-1))], one per (B, n, n) adjacency, of one graph's (n, d) features
+    or of (B, n, d), one set per adjacency. At 0/1 entries the degree sum is
     the integer sum of max(A, A^T), whatever the order of summation."""
     B, n, _ = a_batch.shape
     deg = M.relaxed_propagation(a_batch, buffers)[1]
     return np.concatenate([
-        np.broadcast_to(x.mean(axis=0), (B, x.shape[1])),
+        np.broadcast_to(x.mean(axis=-2), (B, x.shape[-1])),
         deg.sum(axis=1)[:, None] / max(n * (n - 1), 1),
     ], axis=1)
+
+
+def _degree_summaries(graphs: list[FeatureGraph]) -> np.ndarray:
+    """`_degree_summary` of each graph's own 0/1 adjacency, by stacks of
+    `model.graph_stacks`: (B, d+1)."""
+    out = np.empty((len(graphs), graphs[0].feature_dim + 1))
+    for indices, a, x in M.graph_stacks(graphs):
+        out[indices] = _degree_summary(x, a)
+    return out
 
 
 def _margin_grad_degree_mlp(head, x: np.ndarray, a_batch: np.ndarray,
@@ -203,11 +217,17 @@ class DetectorVictim:
     def __init__(self, params: M.ModelParams):
         self.params = params
         self.head = M.score_head(params)
+        self.transposes = [np.ascontiguousarray(w.T) for w in params.encoder_weights]
         self.buffers = {}  # the relaxed pass's arrays, reused across calls
 
+    def labels(self, graphs: list[FeatureGraph]) -> list[int]:
+        """Predict's label of each graph, from one forward per stack of
+        graphs of one node count (`model.score_graphs`)."""
+        return M.score_graphs(graphs, self.params.encoder_weights,
+                              self.head)[1].tolist()
+
     def label(self, graph: FeatureGraph) -> int:
-        g = M.graph_embedding(graph, self.params.encoder_weights)
-        return M.classify(self.head, g, graph.graph_id)[0]
+        return self.labels([graph])[0]
 
     def margin_grad_batched(self, features: np.ndarray, a_batch: np.ndarray,
                             src: np.ndarray,
@@ -215,8 +235,8 @@ class DetectorVictim:
         """Margins f of the (B, n, n) relaxed adjacencies `a_batch` and
         d[b] = df_b / da_batch[b, src_b, dst_b], 0 where src_b == dst_b. The
         results are fresh arrays; the pass's other arrays are reused."""
-        return _margin_grad_gnn(self.params.encoder_weights, self.head,
-                                features, a_batch, src, dst, self.buffers)
+        return _margin_grad_gnn(self.params.encoder_weights, self.transposes,
+                                self.head, features, a_batch, src, dst, self.buffers)
 
 
 class SurrogateVictim:
@@ -230,20 +250,27 @@ class SurrogateVictim:
         w = surrogate.weights
         self.encoder = ([w["enc.0"], w["enc.1"]]
                         if surrogate.architecture == "gnn2_mlp" else None)
+        self.transposes = [np.ascontiguousarray(w.T) for w in self.encoder or []]
         self.head = M.logits_head(w["head.0"], w["head.1"])
         self.buffers = {}
 
+    def labels(self, graphs: list[FeatureGraph]) -> list[int]:
+        """The label of each graph, from one forward per stack of graphs of
+        one node count."""
+        if self.encoder:
+            return M.score_graphs(graphs, self.encoder, self.head)[1].tolist()
+        return M.classify_rows(self.head, _degree_summaries(graphs),
+                               [g.graph_id for g in graphs])[0].tolist()
+
     def label(self, graph: FeatureGraph) -> int:
-        g = (M.graph_embedding(graph, self.encoder) if self.encoder
-             else _degree_summary(graph.features, M.adjacency(graph)[None])[0])
-        return M.classify(self.head, g, graph.graph_id)[0]
+        return self.labels([graph])[0]
 
     def margin_grad_batched(self, features: np.ndarray, a_batch: np.ndarray,
                             src: np.ndarray,
                             dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if self.encoder:
-            return _margin_grad_gnn(self.encoder, self.head, features,
-                                    a_batch, src, dst, self.buffers)
+            return _margin_grad_gnn(self.encoder, self.transposes, self.head,
+                                    features, a_batch, src, dst, self.buffers)
         return _margin_grad_degree_mlp(self.head, features, a_batch,
                                        src, dst, self.buffers)
 
@@ -446,9 +473,7 @@ def surrogate_loss_tape(sp: SurrogateParams, members: list[tuple[FeatureGraph, i
                      [bound["enc.0"], bound["enc.1"]])
         g = M.readout(h, batch)
     else:
-        g = tape.constant(np.concatenate([_degree_summary(graph.features,
-                                                          M.adjacency(graph)[None])
-                                          for graph in graphs]))
+        g = tape.constant(_degree_summaries(graphs))
     logits = M.head_logits(g, [bound["head.0"], bound["head.1"]])
     loss = cross_entropy_logits(logits, [y for _, y in members])
     return tape, bound, loss
@@ -467,7 +492,13 @@ def distill_surrogate(victim_label_fn, train_graphs: list[FeatureGraph],
         raise ValueError("distillation needs at least one graph")
     if epochs < 1:
         raise ValueError("epochs must be at least 1")
-    labels = {g.graph_id: int(victim_label_fn(g)) for g in train_graphs}
+    owner = getattr(victim_label_fn, "__self__", None)
+    if (type(owner) in (DetectorVictim, SurrogateVictim)
+            and victim_label_fn == owner.label):  # labelled by stacks, not one by one
+        ys = owner.labels(train_graphs)
+    else:
+        ys = [int(victim_label_fn(g)) for g in train_graphs]
+    labels = {g.graph_id: y for g, y in zip(train_graphs, ys)}
     for gid, y in labels.items():
         if y not in (0, 1):
             raise ValueError(f"victim label for {gid} must be 0 or 1, got {y}")
@@ -482,8 +513,8 @@ def distill_surrogate(victim_label_fn, train_graphs: list[FeatureGraph],
                             lambda ms: surrogate_loss_tape(sp, ms),
                             [(g, labels[g.graph_id]) for g in batch]))
 
-    victim = SurrogateVictim(sp)
-    agree = sum(1 for g in train_graphs if victim.label(g) == labels[g.graph_id])
+    agree = sum(1 for g, y in zip(train_graphs, SurrogateVictim(sp).labels(train_graphs))
+                if y == labels[g.graph_id])
     return sp, agree / len(train_graphs)
 
 

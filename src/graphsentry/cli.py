@@ -556,8 +556,10 @@ def cmd_attack(args) -> None:
                           f"(one of {AT.ARCHITECTURES})")
 
     victim = AT.DetectorVictim(params)
+    malicious = [g for g in graphs if g.label == 1]
     with _finite_forward(args.checkpoint):
-        population = [g for g in graphs if g.label == 1 and victim.label(g) == 1]
+        detected = victim.labels(malicious)
+    population = [g for g, y in zip(malicious, detected) if y == 1]
 
     tic = time.perf_counter()
     agreement = None
@@ -622,14 +624,11 @@ def cmd_export_embeddings(args) -> None:
     _check_schema(params, graphs, args.checkpoint, args.dataset)
     tic = time.perf_counter()
     h = params.hidden_dim
-    rows = []
-    head = M.score_head(params)
     with _finite_forward(args.checkpoint):
-        for g in graphs:
-            emb = M.graph_embedding(g, params.encoder_weights)
-            _, s0, s1 = M.classify(head, emb, g.graph_id)
-            rows.append([g.graph_id, g.label] + [_fmt(v) for v in emb]
-                        + [_fmt(s0), _fmt(s1)])
+        emb, _, s0, s1 = M.score_graphs(graphs, params.encoder_weights,
+                                        M.score_head(params))
+    rows = [[g.graph_id, g.label] + [_fmt(v) for v in e + [c0, c1]]
+            for g, e, c0, c1 in zip(graphs, emb.tolist(), s0.tolist(), s1.tolist())]
     header = ["graph_id", "label"] + [f"g_{i + 1}" for i in range(h)] \
         + ["cos_p0", "cos_p1"]
     _write_csv(args.out, header, rows)

@@ -10,13 +10,16 @@ adjacency it is `propagation_terms`. Training runs the layers on a tape
 of P comes from one `relaxed_propagation` call), one graph being a batch of
 one; inference and the attack run the same layers in plain numpy
 (`gnn_layers`) and score embeddings by one head per family (`proxy_head`,
-`logits_head`). The module holds no mutable state: a training run counts
-its own masking and decoding from its tapes.
+`logits_head`). Inference (`graph_embeddings`) runs graphs of one node count
+as one unpadded (k, n, n) stack, so each graph gets the bits it gets alone.
+The module holds no mutable state: a training run counts its own masking
+and decoding from its tapes.
 """
 from __future__ import annotations
 
 import base64
 import binascii
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -29,6 +32,10 @@ from .graphdata import FeatureGraph, FeatureSchema, canonical_json
 CHECKPOINT_FORMAT = "graphsentry-checkpoint"
 CHECKPOINT_VERSION = 1
 DEG_EPS = 1e-12  # degree below which a node counts as isolated
+# Largest k * n^2 of one `graph_stacks` stack of k graphs of n nodes. A stack
+# of desk graphs (n <= 19) holds 90 or more; a graph of 182 nodes or more
+# runs alone, so a large graph's arrays stay the size they have alone.
+STACK_ENTRIES = 32768
 
 
 @dataclass
@@ -145,10 +152,7 @@ def batch_graphs(graphs: list[FeatureGraph]) -> GraphBatch:
     count = len(graphs)
     sizes = np.array([g.node_count for g in graphs])
     m = int(sizes.max())
-    edges = np.concatenate([g.edges for g in graphs])
-    owner = np.repeat(np.arange(count), [len(g.edges) for g in graphs])
-    a = np.zeros((count, m, m))
-    a[owner, edges[:, 0], edges[:, 1]] = 1.0
+    a = _adjacency_stack(graphs, m)
     real = np.arange(m) < sizes[:, None]  # (B, m): the rows that hold a node
     x = np.zeros((count, m, graphs[0].feature_dim))
     x[real] = np.concatenate([g.features for g in graphs])
@@ -235,6 +239,16 @@ def adjacency(graph: FeatureGraph) -> np.ndarray:
     """Directed 0/1 adjacency matrix: entry (s, t) is 1 for each edge (s, t)."""
     a = np.zeros((graph.node_count, graph.node_count))
     a[graph.edges[:, 0], graph.edges[:, 1]] = 1.0
+    return a
+
+
+def _adjacency_stack(graphs: list[FeatureGraph], m: int) -> np.ndarray:
+    """The (B, m, m) stack of the graphs' 0/1 adjacencies, each zero-padded
+    to m nodes: one scatter of all their edges."""
+    edges = np.concatenate([g.edges for g in graphs])
+    owner = np.repeat(np.arange(len(graphs)), [len(g.edges) for g in graphs])
+    a = np.zeros((len(graphs), m, m))
+    a[owner, edges[:, 0], edges[:, 1]] = 1.0
     return a
 
 
@@ -380,24 +394,76 @@ def head_logits(g: ad.Tensor, head_weights: list[ad.Tensor]) -> ad.Tensor:
     return ad.matmul(ad.relu(ad.matmul(g, head_weights[0])), head_weights[1])
 
 
+def graph_stacks(graphs: list[FeatureGraph]):
+    """`graphs` as stacks of one node count n, at most max(1, STACK_ENTRIES //
+    n^2) graphs each, by increasing n and then input order: yields (indices,
+    A, X), the (k, n, n) 0/1 adjacencies and (k, n, d) features of
+    graphs[i] for i in indices. Raises ValueError naming the first empty
+    graph."""
+    for g in graphs:
+        if g.node_count < 1:
+            raise ValueError(f"graph {g.graph_id} is empty")
+    if len(graphs) == 1:  # the one-graph call, without the sort
+        yield ([0],) + _stack(graphs, graphs[0].node_count)
+        return
+    order = sorted(range(len(graphs)), key=lambda i: graphs[i].node_count)
+    for n, run in itertools.groupby(order, key=lambda i: graphs[i].node_count):
+        run = list(run)
+        cap = max(1, STACK_ENTRIES // (n * n))
+        for start in range(0, len(run), cap):
+            indices = run[start:start + cap]
+            yield (indices,) + _stack([graphs[i] for i in indices], n)
+
+
+def _stack(members: list[FeatureGraph], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (k, n, n) 0/1 adjacencies and (k, n, d) features of k graphs of n
+    nodes; a lone graph keeps its own feature array."""
+    if len(members) == 1:
+        return adjacency(members[0])[None], members[0].features[None]
+    return _adjacency_stack(members, n), np.stack([g.features for g in members])
+
+
+def graph_embeddings(graphs: list[FeatureGraph], weights: list[np.ndarray]) -> np.ndarray:
+    """(B, h) embeddings of `graphs`: the unmasked encode by `gnn_layers` over
+    encoder `weights` and the mean readout, without a tape. Each stack of
+    `graph_stacks` is one `relaxed_propagation` and one `gnn_layers` call, in
+    the order of operations of a lone graph, so a graph's row is the same
+    bits in any call. Raises NonFiniteError naming the first graph, in input
+    order, whose layer pre-activation or embedding norm is not finite; each
+    layer is checked because a ReLU can turn an intermediate -inf into 0."""
+    parts = []  # (indices, rows) of each stack
+    first = None  # (input index, message) of the first graph that overflows
+    for indices, a, x in graph_stacks(graphs):
+        with np.errstate(over="ignore", invalid="ignore"):
+            hs, qs = gnn_layers(relaxed_propagation(a)[4], x, weights)
+            g = hs[-1].sum(axis=1) / a.shape[1]  # np.mean's bits, less overhead
+            sq_norm = float(np.vdot(g, g))  # when finite, so is every row's norm
+        parts.append((indices, g))
+        if math.isfinite(sq_norm) and all(np.isfinite(q).all() for q in qs):
+            continue
+        for j, i in enumerate(indices):  # ascending: the stack's first is its least
+            with np.errstate(over="ignore", invalid="ignore"):
+                row_norm = g[j] @ g[j]  # finite exactly when np.linalg.norm(g[j]) is
+            bad = [l for l, q in enumerate(qs) if not np.isfinite(q[j]).all()]
+            if bad or not np.isfinite(row_norm):
+                what = (f"encoder layer {bad[0]} output is not finite" if bad
+                        else "embedding norm overflows")
+                if first is None or i < first[0]:
+                    first = (i, f"graph {graphs[i].graph_id}: {what}")
+                break
+    if first is not None:
+        raise ad.NonFiniteError(first[1])
+    if len(parts) == 1:  # one stack holds the graphs in input order
+        return parts[0][1]
+    out = np.empty((len(graphs), weights[-1].shape[1]))
+    for indices, g in parts:
+        out[indices] = g
+    return out
+
+
 def graph_embedding(graph: FeatureGraph, weights: list[np.ndarray]) -> np.ndarray:
-    """Unmasked encode by `gnn_layers` over encoder `weights` and mean readout,
-    without a tape. Raises NonFiniteError naming the graph when a layer's
-    pre-activation or the embedding's norm is not finite; each layer is
-    checked because a ReLU can turn an intermediate -inf into 0."""
-    if graph.node_count < 1:
-        raise ValueError(f"graph {graph.graph_id} is empty")
-    with np.errstate(over="ignore", invalid="ignore"):
-        hs, qs = gnn_layers(propagation_terms(graph), graph.features, weights)
-        g = hs[-1].sum(axis=0) / graph.node_count  # np.mean's bits, less overhead
-        sq_norm = g @ g  # finite exactly when np.linalg.norm(g) is
-    for i, q in enumerate(qs):
-        if not np.isfinite(q).all():
-            raise ad.NonFiniteError(f"graph {graph.graph_id}: encoder layer {i} "
-                                    f"output is not finite")
-    if not np.isfinite(sq_norm):
-        raise ad.NonFiniteError(f"graph {graph.graph_id}: embedding norm overflows")
-    return g
+    """The (h,) embedding of one graph, by `graph_embeddings`."""
+    return graph_embeddings([graph], weights)[0]
 
 
 def proxy_head(p0: np.ndarray, p1: np.ndarray):
@@ -445,15 +511,39 @@ def score_head(params: ModelParams):
     return proxy_head(params.proxy_benign, params.proxy_malicious)
 
 
+def classify_rows(head, g: np.ndarray, graph_ids: list[str]):
+    """(labels, s0, s1), three (B,) arrays, of the (B, h) embedding rows `g` of
+    graphs `graph_ids` under `head`; ties go to malicious. Raises
+    NonFiniteError naming the first graph whose score is not finite (weights
+    that overflow)."""
+    s0, s1 = head(g)
+    finite = np.isfinite(s0) & np.isfinite(s1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ad.NonFiniteError(f"graph {graph_ids[i]}: scores ({float(s0[i])}, "
+                                f"{float(s1[i])}) are not finite")
+    return (s1 >= s0).astype(int), s0, s1
+
+
 def classify(head, g: np.ndarray, graph_id: str) -> tuple[int, float, float]:
-    """(label, s0, s1) of graph `graph_id`'s (h,) embedding under `head`; ties
-    go to malicious. Raises NonFiniteError naming the graph when a score is
-    not finite (weights that overflow)."""
-    s0, s1 = head(g[None])
-    s0, s1 = float(s0[0]), float(s1[0])
-    if not (math.isfinite(s0) and math.isfinite(s1)):
-        raise ad.NonFiniteError(f"graph {graph_id}: scores ({s0}, {s1}) are not finite")
-    return (1 if s1 >= s0 else 0), s0, s1
+    """(label, s0, s1) of graph `graph_id`'s (h,) embedding, by `classify_rows`."""
+    labels, s0, s1 = classify_rows(head, g[None], [graph_id])
+    return int(labels[0]), float(s0[0]), float(s1[0])
+
+
+def score_graphs(graphs: list[FeatureGraph], weights: list[np.ndarray], head):
+    """(embeddings, labels, s0, s1) of `graphs`: `graph_embeddings` under
+    encoder `weights`, then `classify_rows` under `head`. Raises
+    NonFiniteError naming the first graph, in input order, whose embedding
+    or scores are not finite: when an embedding fails, each graph is scored
+    again alone, in order, as `predict` does, to find it."""
+    try:
+        rows = graph_embeddings(graphs, weights)
+    except ad.NonFiniteError:
+        for graph in graphs:
+            classify(head, graph_embedding(graph, weights), graph.graph_id)
+        raise
+    return (rows,) + classify_rows(head, rows, [graph.graph_id for graph in graphs])
 
 
 def predict(graph: FeatureGraph, params: ModelParams) -> tuple[int, float, float]:

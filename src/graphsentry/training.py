@@ -7,7 +7,7 @@ scalar is the sum of the per-graph losses; the optimizer steps once on its
 gradient over the batch size, the mean. The detector draws each graph's mask
 plan from the permutation's generator, in batch order, before the tape is
 built; its classifier term reads the encoder output on the masked input, the
-pass that feeds the decoder, and validation runs the unmasked predict path.
+pass that feeds the decoder, and validation takes predict's labels.
 When a batch tape goes non-finite, `batch_tape` replays each graph alone
 with what was drawn for it, to name the graph and op. Training stops after
 `early_stop_patience` epochs without a better val F1, or at F1 1.0. Each run
@@ -318,14 +318,15 @@ def train(train_graphs: list[FeatureGraph], val_graphs: list[FeatureGraph],
 
 
 def evaluate(params: M.ModelParams, graphs: list[FeatureGraph]) -> Metrics:
-    """Confusion counts from the unmasked predict path; malicious is positive."""
+    """Confusion counts of predict's labels, from one forward per stack of
+    graphs of one node count (`model.score_graphs`); malicious is positive."""
     if not graphs:
         raise ValueError("evaluate needs at least one graph")
-    tp = fp = tn = fn = 0
-    for g in graphs:
-        pred = M.predict(g, params)[0]
-        if g.label == 1:
-            tp, fn = (tp + 1, fn) if pred == 1 else (tp, fn + 1)
-        else:
-            tn, fp = (tn + 1, fp) if pred == 0 else (tn, fp + 1)
-    return Metrics.from_counts(tp, fp, tn, fn)
+    # The head is built before the encoder checks run: a diverged run's proxy
+    # norm may overflow here, and its encoder error is the one to raise.
+    with np.errstate(over="ignore"):
+        head = M.score_head(params)
+    pred = M.score_graphs(graphs, params.encoder_weights, head)[1] == 1
+    truth = np.array([g.label for g in graphs]) == 1
+    return Metrics.from_counts(*(int(np.count_nonzero(c)) for c in (
+        pred & truth, pred & ~truth, ~pred & ~truth, ~pred & truth)))

@@ -629,18 +629,21 @@ def test_export_embeddings_matches_predict(workspace, tmp_path):
 
 
 def test_export_encodes_each_graph_once(workspace, tmp_path, monkeypatch):
-    calls = []
-    encode_once = M.graph_embedding
+    """Every graph goes through the stacked forward exactly once in total,
+    whichever calls carry it."""
+    encoded = []
+    encode = M.graph_embeddings
 
-    def counted(graph, params):
-        calls.append(graph.graph_id)
-        return encode_once(graph, params)
+    def counted(graphs, weights):
+        encoded.extend(g.graph_id for g in graphs)
+        return encode(graphs, weights)
 
-    monkeypatch.setattr(M, "graph_embedding", counted)
+    monkeypatch.setattr(M, "graph_embeddings", counted)
     assert cli.main(["export-embeddings", workspace["checkpoint"],
                      workspace["dataset"], str(tmp_path / "emb.csv")]) == 0
     graphs, _ = load_dataset(workspace["dataset"])
-    assert calls == [g.graph_id for g in graphs]
+    assert sorted(encoded) == sorted(g.graph_id for g in graphs)
+    assert len(set(encoded)) == len(graphs)
 
 
 def test_export_rerun_byte_identical(workspace, tmp_path):
