@@ -178,8 +178,12 @@ def _degree_summary(x: np.ndarray, a_batch: np.ndarray,
     (n(n-1))], one per (B, n, n) adjacency, of one graph's (n, d) features
     or of (B, n, d), one set per adjacency. At 0/1 entries the degree sum is
     the integer sum of max(A, A^T), whatever the order of summation."""
-    B, n, _ = a_batch.shape
-    deg = M.relaxed_propagation(a_batch, buffers)[1]
+    return _summary_rows(x, M.relaxed_propagation(a_batch, buffers)[1])
+
+
+def _summary_rows(x: np.ndarray, deg: np.ndarray) -> np.ndarray:
+    """`_degree_summary` of the (B, n) degrees `deg`."""
+    B, n = deg.shape
     return np.concatenate([
         np.broadcast_to(x.mean(axis=-2), (B, x.shape[-1])),
         deg.sum(axis=1)[:, None] / max(n * (n - 1), 1),
@@ -187,11 +191,11 @@ def _degree_summary(x: np.ndarray, a_batch: np.ndarray,
 
 
 def _degree_summaries(graphs: list[FeatureGraph]) -> np.ndarray:
-    """`_degree_summary` of each graph's own 0/1 adjacency, by stacks of
-    `model.graph_stacks`: (B, d+1)."""
+    """`_degree_summary` of each graph's own 0/1 adjacency, from the degrees
+    of `model.graph_stacks`: (B, d+1)."""
     out = np.empty((len(graphs), graphs[0].feature_dim + 1))
-    for indices, a, x in M.graph_stacks(graphs):
-        out[indices] = _degree_summary(x, a)
+    for indices, _, deg, x in M.graph_stacks(graphs):
+        out[indices] = _summary_rows(x, deg)
     return out
 
 

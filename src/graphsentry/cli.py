@@ -217,7 +217,8 @@ def load_manifest(path) -> dict:
     configured, needs, artifacts, choices = MANIFEST_COMMANDS[command]
     if "config_text" not in manifest:
         raise ConfigError(f"{path}: field 'config_text' is missing")
-    if isinstance(manifest["config_text"], str) != configured:
+    text = manifest["config_text"]
+    if not (isinstance(text, str) if configured else text is None):
         raise ConfigError(f"{path}: field 'config_text' must be "
                           f"{'a string' if configured else 'null'} for {command}")
     for name in ("inputs", "artifacts"):

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -56,6 +57,20 @@ def _edge_array(edges, n: int, graph_id: str) -> np.ndarray:
     ValueError unless it is a list of [source, target] pairs of integral
     numbers; a fraction or a boolean is never read as a number. An endpoint
     too large for intp fails as out of range for the `n` nodes."""
+    if (type(edges) is list and set(map(type, edges)) <= {list, tuple}
+            and set(map(len, edges)) == {2}):
+        # The usual input, a list of pairs of ints, read without numpy's
+        # discovery of the nested list's shape and type; anything else, an
+        # int too large for intp included, takes the checks below.
+        flat = list(chain.from_iterable(edges))
+        if set(map(type, flat)) == {int}:
+            try:
+                out = np.fromiter(flat, np.intp, len(flat)).reshape(-1, 2)
+            except OverflowError:
+                pass
+            else:
+                out.flags.writeable = False
+                return out
     try:
         raw = np.asarray(edges)  # ValueError when ragged or nested too deeply
         if raw.shape == (0,):

@@ -4,14 +4,16 @@ Propagation follows the symmetric-normalized rule: a node's new state is
 (own state + sum of neighbor states / sqrt(deg_u * deg_v)) times the layer
 weight, through ReLU. Neighborhoods are taken on the symmetrized edge set.
 One normalization (`relaxed_propagation`) gives the dense (n, n) matrix P
-that training, inference and the attack all propagate through; at 0/1
-adjacency it is `propagation_terms`. Training runs the layers on a tape
-(`_gnn_forward`) over a padded minibatch (`GraphBatch`, whose (B, m, m) stack
-of P comes from one `relaxed_propagation` call), one graph being a batch of
-one; inference and the attack run the same layers in plain numpy
-(`gnn_layers`) and score embeddings by one head per family (`proxy_head`,
-`logits_head`). Inference (`graph_embeddings`) runs graphs of one node count
-as one unpadded (k, n, n) stack, so each graph gets the bits it gets alone.
+of an adjacency with entries in [0, 1], which the attack's relaxed rows
+propagate through; at 0/1 adjacency it is `propagation_terms`, and
+`edge_propagation` builds the same bits for a stack of graphs straight from
+their edge arrays. Training runs the layers on a tape (`_gnn_forward`) over
+a padded minibatch (`GraphBatch`, whose (B, m, m) stack of P comes from one
+`edge_propagation` call), one graph being a batch of one; inference and the
+attack run the same layers in plain numpy (`gnn_layers`) and score
+embeddings by one head per family (`proxy_head`, `logits_head`). Inference
+(`graph_embeddings`) runs graphs of one node count as one unpadded (k, n, n)
+stack, so each graph gets the bits it gets alone.
 The module holds no mutable state: a training run counts its own masking
 and decoding from its tapes.
 """
@@ -142,8 +144,8 @@ class GraphBatch:
 
 def batch_graphs(graphs: list[FeatureGraph]) -> GraphBatch:
     """Pad `graphs` to their largest node count m and stack them; P comes
-    from one `relaxed_propagation` call on the stacked 0/1 adjacency, which
-    is one scatter of the batch's edges."""
+    from one `edge_propagation` call on the batch's edges, with the bits
+    `relaxed_propagation` gives the stacked 0/1 adjacency."""
     if not graphs:
         raise ValueError("a batch needs at least one graph")
     for g in graphs:
@@ -152,13 +154,12 @@ def batch_graphs(graphs: list[FeatureGraph]) -> GraphBatch:
     count = len(graphs)
     sizes = np.array([g.node_count for g in graphs])
     m = int(sizes.max())
-    a = _adjacency_stack(graphs, m)
     real = np.arange(m) < sizes[:, None]  # (B, m): the rows that hold a node
     x = np.zeros((count, m, graphs[0].feature_dim))
     x[real] = np.concatenate([g.features for g in graphs])
     pool = np.zeros((count, count, m))
     pool[np.arange(count), np.arange(count)] = real / sizes[:, None]
-    return GraphBatch(m, relaxed_propagation(a)[4], x.reshape(count * m, -1),
+    return GraphBatch(m, edge_propagation(graphs, m)[0], x.reshape(count * m, -1),
                       pool.reshape(count, count * m))
 
 
@@ -242,14 +243,28 @@ def adjacency(graph: FeatureGraph) -> np.ndarray:
     return a
 
 
-def _adjacency_stack(graphs: list[FeatureGraph], m: int) -> np.ndarray:
-    """The (B, m, m) stack of the graphs' 0/1 adjacencies, each zero-padded
-    to m nodes: one scatter of all their edges."""
+def edge_propagation(graphs: list[FeatureGraph], m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(P, deg) of `relaxed_propagation` on the (k, m, m) stack of the k
+    graphs' 0/1 adjacencies, each zero-padded to m nodes, with the same bits,
+    built from the edge arrays without forming A: S is 1 at the flat keys of
+    both directions of every edge (a reciprocal pair writes a key twice),
+    deg is its row sums, and only those keys are then overwritten with
+    r_s * r_t, which is relaxed's (S_st * r_s) * r_t at S_st = 1."""
+    k = len(graphs)
     edges = np.concatenate([g.edges for g in graphs])
-    owner = np.repeat(np.arange(len(graphs)), [len(g.edges) for g in graphs])
-    a = np.zeros((len(graphs), m, m))
-    a[owner, edges[:, 0], edges[:, 1]] = 1.0
-    return a
+    s, t = edges[:, 0], edges[:, 1]
+    first = np.repeat(np.arange(0, k * m, m), [len(g.edges) for g in graphs])
+    rs, rt = first + s, first + t  # rows of the ends in the (k*m, m) stack
+    keys = np.concatenate([rs * m + t, rt * m + s])
+    flat = np.zeros(k * m * m)
+    flat[keys] = 1.0
+    p = flat.reshape(k, m, m)
+    deg = p.sum(axis=-1)
+    r = np.maximum(deg, DEG_EPS)
+    r = np.divide(1.0, np.sqrt(r, out=r), out=r).reshape(-1)
+    w = r[rs] * r[rt]
+    flat[keys] = np.concatenate([w, w])
+    return p, deg
 
 
 def scratch(buffers: dict, key, shape: tuple, dtype=float) -> np.ndarray:
@@ -397,8 +412,8 @@ def head_logits(g: ad.Tensor, head_weights: list[ad.Tensor]) -> ad.Tensor:
 def graph_stacks(graphs: list[FeatureGraph]):
     """`graphs` as stacks of one node count n, at most max(1, STACK_ENTRIES //
     n^2) graphs each, by increasing n and then input order: yields (indices,
-    A, X), the (k, n, n) 0/1 adjacencies and (k, n, d) features of
-    graphs[i] for i in indices. Raises ValueError naming the first empty
+    P, deg, X), the `edge_propagation` of the graphs[i] for i in indices
+    and their (k, n, d) features. Raises ValueError naming the first empty
     graph."""
     for g in graphs:
         if g.node_count < 1:
@@ -415,28 +430,28 @@ def graph_stacks(graphs: list[FeatureGraph]):
             yield (indices,) + _stack([graphs[i] for i in indices], n)
 
 
-def _stack(members: list[FeatureGraph], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (k, n, n) 0/1 adjacencies and (k, n, d) features of k graphs of n
-    nodes; a lone graph keeps its own feature array."""
-    if len(members) == 1:
-        return adjacency(members[0])[None], members[0].features[None]
-    return _adjacency_stack(members, n), np.stack([g.features for g in members])
+def _stack(members: list[FeatureGraph], n: int) -> tuple[np.ndarray, ...]:
+    """(P, deg, X) of k graphs of n nodes: their `edge_propagation` and
+    (k, n, d) features; a lone graph keeps its own feature array."""
+    x = (members[0].features[None] if len(members) == 1
+         else np.stack([g.features for g in members]))
+    return edge_propagation(members, n) + (x,)
 
 
 def graph_embeddings(graphs: list[FeatureGraph], weights: list[np.ndarray]) -> np.ndarray:
     """(B, h) embeddings of `graphs`: the unmasked encode by `gnn_layers` over
     encoder `weights` and the mean readout, without a tape. Each stack of
-    `graph_stacks` is one `relaxed_propagation` and one `gnn_layers` call, in
+    `graph_stacks` is one `edge_propagation` and one `gnn_layers` call, in
     the order of operations of a lone graph, so a graph's row is the same
     bits in any call. Raises NonFiniteError naming the first graph, in input
     order, whose layer pre-activation or embedding norm is not finite; each
     layer is checked because a ReLU can turn an intermediate -inf into 0."""
     parts = []  # (indices, rows) of each stack
     first = None  # (input index, message) of the first graph that overflows
-    for indices, a, x in graph_stacks(graphs):
+    for indices, p, _, x in graph_stacks(graphs):
         with np.errstate(over="ignore", invalid="ignore"):
-            hs, qs = gnn_layers(relaxed_propagation(a)[4], x, weights)
-            g = hs[-1].sum(axis=1) / a.shape[1]  # np.mean's bits, less overhead
+            hs, qs = gnn_layers(p, x, weights)
+            g = hs[-1].sum(axis=1) / p.shape[1]  # np.mean's bits, less overhead
             sq_norm = float(np.vdot(g, g))  # when finite, so is every row's norm
         parts.append((indices, g))
         if math.isfinite(sq_norm) and all(np.isfinite(q).all() for q in qs):

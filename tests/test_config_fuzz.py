@@ -180,6 +180,22 @@ def test_manifest_without_config_text_raises_config_error(files, tmp_path, comma
         cli.replay_manifest(path, str(tmp_path / "replay"))
 
 
+@pytest.mark.parametrize("command", ["eval", "export-embeddings"])
+@pytest.mark.parametrize("text", [0, False, [], {}])
+def test_manifest_with_non_null_config_text_raises_config_error(files, tmp_path,
+                                                                command, text):
+    """load_manifest once accepted any non-string config_text for a command
+    that reads no config, and replay_manifest then wrote it to a file and
+    raised TypeError."""
+    manifest = json.loads("".join(files["manifest"]))
+    manifest["config_text"] = text
+    manifest["command"] = command
+    path = str(tmp_path / "config_text.manifest.json")
+    write(path, json.dumps(manifest))
+    with pytest.raises(cli.ConfigError, match="field 'config_text' must be null"):
+        cli.replay_manifest(path, str(tmp_path / "replay"))
+
+
 @pytest.mark.parametrize("kind", sorted(CONFIGS))
 @settings(max_examples=150, deadline=None)
 @given(mutations=st.lists(mutation(CONFIG_POOL), min_size=1, max_size=3))

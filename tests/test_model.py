@@ -269,7 +269,10 @@ def test_batch_graphs_equals_padding_one_graph_at_a_time(cases):
     batch = M.batch_graphs(graphs)
     a, x, pool = padded_one_by_one(graphs)
     assert batch.width == a.shape[1]
-    assert np.array_equal(batch.propagation, M.relaxed_propagation(a)[4])
+    _, deg, _, _, p, _ = M.relaxed_propagation(a)
+    assert batch.propagation.tobytes() == p.tobytes()
+    built = M.edge_propagation(graphs, batch.width)
+    assert built[0].tobytes() == p.tobytes() and built[1].tobytes() == deg.tobytes()
     assert np.array_equal(batch.features, x)
     assert np.array_equal(batch.pool, pool)
 

@@ -13,7 +13,8 @@ from graphsentry import attacks as AT
 from graphsentry import autodiff as ad
 from graphsentry import model as M
 from graphsentry import training as T
-from graphsentry.graphdata import FeatureGraph
+from graphsentry.graphdata import (FeatureGraph, FeatureSchema, SyntheticConfig,
+                                   generate_synthetic_dataset)
 
 D = 6
 SPLIT = 60  # a node count whose graphs span two stacks
@@ -36,6 +37,24 @@ def population():
     graphs += [rand_graph(SPLIT, 100 + i, p=0.05) for i in range(per_stack + 2)]
     order = np.random.default_rng(0).permutation(len(graphs))
     return [graphs[i] for i in order]
+
+
+def desk_graphs():
+    """The acceptance suite's desk data: 1,000 graphs of 8-19 nodes."""
+    return generate_synthetic_dataset(SyntheticConfig(
+        n_graphs=1000, benign_node_range=(8, 14), motif_node_count=5,
+        motif_feature_signature="110010101010", malicious_fraction=0.1,
+        background_edge_prob=0.15, rng_seed=42, schema=FeatureSchema(8, 4)))
+
+
+def relaxed_terms(graphs, m):
+    """(P, deg) of `relaxed_propagation` on the graphs' 0/1 adjacencies,
+    each zero-padded to m nodes."""
+    a = np.zeros((len(graphs), m, m))
+    for b, g in enumerate(graphs):
+        a[b, :g.node_count, :g.node_count] = M.adjacency(g)
+    _, deg, _, _, p, _ = M.relaxed_propagation(a)
+    return p, deg
 
 
 def detector(head, seed=0, hidden=8, layers=2):
@@ -64,12 +83,46 @@ def alone(graph, weights):
 
 def test_population_has_a_node_count_in_two_stacks():
     graphs = population()
-    stacks = [[graphs[i].node_count for i in idx] for idx, _, _ in M.graph_stacks(graphs)]
+    stacks = [[graphs[i].node_count for i in idx] for idx, _, _, _ in M.graph_stacks(graphs)]
     assert sum(1 for s in stacks if s[0] == SPLIT) == 2
     assert all(len(set(s)) == 1 and len(s) * s[0] ** 2 <= M.STACK_ENTRIES
                for s in stacks if len(s) > 1)
-    covered = [i for idx, _, _ in M.graph_stacks(graphs) for i in idx]
+    covered = [i for idx, _, _, _ in M.graph_stacks(graphs) for i in idx]
     assert sorted(covered) == list(range(len(graphs)))
+
+
+@pytest.mark.parametrize("data", ["desk", "population"])
+def test_stacks_are_the_bits_of_relaxed_propagation(data):
+    """Each stack's P and deg from the edge arrays are relaxed_propagation's
+    bits on its 0/1 adjacencies. Besides the population, the cases include
+    graphs of 182 and 190 nodes, which run alone, and a graph of reciprocal
+    pairs; a padded minibatch gets the bits of its padded stack."""
+    if data == "desk":
+        graphs = desk_graphs()
+    else:
+        pairs = [(0, 1), (1, 0), (2, 3), (3, 2), (1, 2)]
+        graphs = population() + [rand_graph(182, 50, p=0.02), rand_graph(190, 51, p=0.02),
+                                 FeatureGraph(5, pairs, np.ones((5, D)), 0, "reciprocal")]
+    sizes, isolated, reciprocal = set(), 0, 0
+    for idx, p, deg, x in M.graph_stacks(graphs):
+        members = [graphs[i] for i in idx]
+        want_p, want_deg = relaxed_terms(members, p.shape[1])
+        assert p.tobytes() == want_p.tobytes() and deg.tobytes() == want_deg.tobytes()
+        assert x.tobytes() == np.stack([g.features for g in members]).tobytes()
+        assert len(idx) == 1 or p.shape[1] < 182
+        sizes.add(p.shape[1])
+        isolated += int(np.count_nonzero(deg == 0))
+        reciprocal += sum(len(g.edge_set() & {(t, s) for s, t in g.edge_set()})
+                          for g in members)
+    assert isolated and reciprocal
+    assert (min(sizes), max(sizes)) == ((8, 19) if data == "desk" else (1, 190))
+    for start in range(0, len(graphs), 32):
+        batch = graphs[start:start + 32]
+        m = max(g.node_count for g in batch)
+        want_p, want_deg = relaxed_terms(batch, m)
+        p, deg = M.edge_propagation(batch, m)
+        assert p.tobytes() == want_p.tobytes() and deg.tobytes() == want_deg.tobytes()
+        assert M.batch_graphs(batch).propagation.tobytes() == want_p.tobytes()
 
 
 @pytest.mark.parametrize("layers", [1, 2, 3])
