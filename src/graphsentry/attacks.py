@@ -16,7 +16,9 @@ querying the victim.
 Gradients with respect to adjacency are computed by a hand-derived, batched
 reverse pass over the relaxed forward, one batch row per unordered candidate
 pair per integration step (per directed candidate edge for a victim that does
-not symmetrize); the training tape stays out of the attack hot path. A row
+not symmetrize); the training tape stays out of the attack hot path, but the
+layer backward is the one the tape's layer op runs (`model.gnn_backward`),
+and the attack adds only what P's dependence on A needs. A row
 asks for the one entry it integrates: `margin_grad_batched(features, a_batch,
 src, dst)` returns the margins f and d[b] = df_b / da_batch[b, src_b, dst_b],
 so the backward forms rows and columns src and dst of dP only and no (n, n)
@@ -129,36 +131,31 @@ def _margin_grad_gnn(gnn_weights: list[np.ndarray], transposes: list[np.ndarray]
     holds each layer weight's transpose as a contiguous array, which numpy
     multiplies by faster than a transposed view.
 
-    d reads only rows and columns src and dst of dP = sum_l dm_l h_l^T, so
-    each layer adds (B, 2, n) products: dp_rows[b, i] = dP[v] and
-    dp_cols[b, i] = dP[:, v] for v = (src_b, dst_b)[i]. Layer 0's dm_0 h_0^T is
-    dq_0 (x W_0)^T, so its dm is never formed. The pass's (B, n, .) arrays
-    are written into `buffers` (see `model.scratch`)."""
+    The layer adjoints come from `model.gnn_backward`. d reads only rows and
+    columns src and dst of dP = sum_l dm_l h_l^T, so each layer adds (B, 2, n)
+    products: dp_rows[b, i] = dP[v] and dp_cols[b, i] = dP[:, v] for
+    v = (src_b, dst_b)[i]. Layer 0's dm_0 h_0^T is dq_0 (x W_0)^T, so its dm
+    is never formed. The pass's (B, n, .) arrays are written into `buffers`
+    (see `model.scratch`)."""
     B, n, _ = a_batch.shape
     s, deg, live, r, p, at = M.relaxed_propagation(a_batch, buffers)
     hs, qs = M.gnn_layers(p, x, gnn_weights, buffers)
     g = hs[-1].mean(axis=1)
 
     s0, s1, dg = head(g, grad=True)
+    dqs, dms, _ = M.gnn_backward(p, qs, transposes,
+                                 np.broadcast_to(dg[:, None, :] / n, hs[-1].shape),
+                                 stop=1, buffers=buffers)
 
     b = np.arange(B)
     row, ends = b[:, None], np.stack([src, dst], axis=1)
     dp_rows, dp_cols = np.zeros((B, 2, n)), np.zeros((B, 2, n))
-    dh = np.broadcast_to(dg[:, None, :] / n, hs[-1].shape)
-    for l in reversed(range(len(gnn_weights))):
-        dq = np.multiply(dh, qs[l] > 0, out=M.scratch(buffers, ("dq", l), dh.shape))
-        if l == 0:  # nothing reads the adjoint of the input features
-            xw = x @ gnn_weights[0]
-            dp_rows += dq[row, ends] @ xw.T
-            dp_cols += xw[ends] @ np.swapaxes(dq, -1, -2)
-        else:
-            dm = np.matmul(dq, transposes[l],
-                           out=M.scratch(buffers, ("dm", l), hs[l].shape))
-            dp_rows += dm[row, ends] @ np.swapaxes(hs[l], -1, -2)
-            dp_cols += hs[l][row, ends] @ np.swapaxes(dm, -1, -2)
-            dh = np.matmul(np.swapaxes(p, -1, -2), dm,
-                           out=M.scratch(buffers, ("dh", l), dm.shape))
-            dh = np.add(dm, dh, out=dh)
+    for l in reversed(range(1, len(gnn_weights))):
+        dp_rows += dms[l][row, ends] @ np.swapaxes(hs[l], -1, -2)
+        dp_cols += hs[l][row, ends] @ np.swapaxes(dms[l], -1, -2)
+    xw = x @ gnn_weights[0]  # nothing reads the adjoint of the input features
+    dp_rows += dqs[0][row, ends] @ xw.T
+    dp_cols += xw[ends] @ np.swapaxes(dqs[0], -1, -2)
 
     # dr_v = sum_j dP_vj S_vj r_j + sum_j dP_jv S_jv r_j, with S symmetric
     r_ends = r[row, ends]

@@ -7,13 +7,16 @@ One normalization (`relaxed_propagation`) gives the dense (n, n) matrix P
 of an adjacency with entries in [0, 1], which the attack's relaxed rows
 propagate through; at 0/1 adjacency it is `propagation_terms`, and
 `edge_propagation` builds the same bits for a stack of graphs straight from
-their edge arrays. Training runs the layers on a tape (`_gnn_forward`) over
-a padded minibatch (`GraphBatch`, whose (B, m, m) stack of P comes from one
+their edge arrays. The GCN layer stack is written once, in plain numpy
+(`gnn_layers`), and so is its backward (`gnn_backward`). Training runs the
+stack as one tape op per encoder or decoder pass (`_gnn_forward`) over a
+padded minibatch (`GraphBatch`, whose (B, m, m) stack of P comes from one
 `edge_propagation` call), one graph being a batch of one; inference and the
-attack run the same layers in plain numpy (`gnn_layers`) and score
-embeddings by one head per family (`proxy_head`, `logits_head`). Inference
-(`graph_embeddings`) runs graphs of one node count as one unpadded (k, n, n)
-stack, so each graph gets the bits it gets alone.
+attack call `gnn_layers` directly, the attack's relaxed backward calls
+`gnn_backward`, and both score embeddings by one head per family
+(`proxy_head`, `logits_head`). Inference (`graph_embeddings`) runs graphs
+of one node count as one unpadded (k, n, n) stack, so each graph gets the
+bits it gets alone.
 The module holds no mutable state: a training run counts its own masking
 and decoding from its tapes.
 """
@@ -267,11 +270,14 @@ def edge_propagation(graphs: list[FeatureGraph], m: int) -> tuple[np.ndarray, np
     return p, deg
 
 
-def scratch(buffers: dict, key, shape: tuple, dtype=float) -> np.ndarray:
+def scratch(buffers: dict | None, key, shape: tuple, dtype=float) -> np.ndarray | None:
     """An array of `shape` to write a result into, kept in `buffers[key]`
-    across calls. It is reused while it has `shape`'s trailing axes and at
-    least its leading length (a leading prefix is a contiguous view);
-    otherwise it is replaced by a new array of `shape`."""
+    across calls, or None (a fresh result) without `buffers`. It is reused
+    while it has `shape`'s trailing axes and at least its leading length (a
+    leading prefix is a contiguous view); otherwise it is replaced by a new
+    array of `shape`."""
+    if buffers is None:
+        return None
     arr = buffers.get(key)
     if arr is None or arr.shape[1:] != shape[1:] or len(arr) < shape[0]:
         arr = buffers[key] = np.empty(shape, dtype)
@@ -289,19 +295,14 @@ def relaxed_propagation(a: np.ndarray, buffers: dict | None = None):
     `buffers` (see `scratch`) the arrays are written into them, in the same
     order of operations, so their bits do not depend on it; without, they
     are fresh arrays."""
-    s_out = p_out = deg_out = live_out = r_out = None
-    if buffers is not None:
-        rows = a.shape[:-1]
-        s_out, p_out = scratch(buffers, "S", a.shape), scratch(buffers, "P", a.shape)
-        deg_out, r_out = scratch(buffers, "deg", rows), scratch(buffers, "r", rows)
-        live_out = scratch(buffers, "live", rows, bool)
+    rows = a.shape[:-1]
     at = np.swapaxes(a, -1, -2)
-    s = np.add(a, at, out=s_out)
-    p = np.multiply(a, at, out=p_out)  # A*A^T, then P
+    s = np.add(a, at, out=scratch(buffers, "S", a.shape))
+    p = np.multiply(a, at, out=scratch(buffers, "P", a.shape))  # A*A^T, then P
     s = np.subtract(s, p, out=s)
-    deg = s.sum(axis=-1, out=deg_out)
-    live = np.greater(deg, DEG_EPS, out=live_out)
-    r = np.maximum(deg, DEG_EPS, out=r_out)
+    deg = s.sum(axis=-1, out=scratch(buffers, "deg", rows))
+    live = np.greater(deg, DEG_EPS, out=scratch(buffers, "live", rows, bool))
+    r = np.maximum(deg, DEG_EPS, out=scratch(buffers, "r", rows))
     r = np.divide(1.0, np.sqrt(r, out=r), out=r)
     p = np.multiply(s, r[..., :, None], out=p)
     p = np.multiply(p, r[..., None, :], out=p)
@@ -323,18 +324,42 @@ def gnn_layers(p: np.ndarray, x: np.ndarray, weights: list[np.ndarray],
     hs, qs = [x], []
     for l, w in enumerate(weights):
         h = hs[-1]
-        ph_out = q_out = h_out = None
-        if buffers is not None:
-            shape = p.shape[:-1] + h.shape[-1:]
-            ph_out = scratch(buffers, ("ph", l), shape)
-            q_out = scratch(buffers, ("q", l), shape[:-1] + w.shape[1:])
-            h_out = scratch(buffers, ("h", l), q_out.shape)
-        ph = np.matmul(p, h, out=ph_out)
+        ph = np.matmul(p, h, out=scratch(buffers, ("ph", l), p.shape[:-1] + h.shape[-1:]))
         ph = np.add(h, ph, out=ph)
-        q = np.matmul(ph, w, out=q_out)
+        q = np.matmul(ph, w, out=scratch(buffers, ("q", l), ph.shape[:-1] + w.shape[1:]))
         qs.append(q)
-        hs.append(np.maximum(q, 0.0, out=h_out))
+        hs.append(np.maximum(q, 0.0, out=scratch(buffers, ("h", l), q.shape)))
     return hs, qs
+
+
+def gnn_backward(p: np.ndarray, qs: list[np.ndarray], transposes: list[np.ndarray],
+                 dh: np.ndarray, linear_last: bool = False, stop: int = 0,
+                 buffers: dict | None = None):
+    """The reverse of `gnn_layers` from dh, the adjoint of its output (of q_L
+    with `linear_last`, where the last layer has no ReLU), given its
+    pre-activations `qs` and each weight's transpose in `transposes`.
+
+    Walks layers L-1 down to 0: dq_l = dh_{l+1} relu'(q_l), then, for
+    l >= `stop`, dm_l = dq_l W_l^T, the adjoint of h_l + P h_l, and
+    dh_l = dm_l + P^T dm_l. Returns (dqs, dms, dh): dq_l of every layer, dm_l
+    of layers l >= stop (None below) and the adjoint dh of h_stop. Each
+    product by W_l^T is one 2-D product over the rows, whose bits do not
+    depend on the stack's leading axes. With `buffers` (see `scratch`) the
+    arrays are written into them under keys that name l."""
+    dqs, dms = [None] * len(qs), [None] * len(qs)
+    for l in reversed(range(len(qs))):
+        dq = dqs[l] = (dh if linear_last and l == len(qs) - 1 else
+                       np.multiply(dh, qs[l] > 0, out=scratch(buffers, ("dq", l), dh.shape)))
+        if l < stop:
+            break
+        t = transposes[l]
+        shape = dq.shape[:-1] + t.shape[1:]
+        dm = scratch(buffers, ("dm", l), shape)
+        dm = dms[l] = np.matmul(dq.reshape(-1, t.shape[0]), t, out=None if dm is None
+                                else dm.reshape(-1, t.shape[1])).reshape(shape)
+        dh = np.matmul(np.swapaxes(p, -1, -2), dm, out=scratch(buffers, ("dh", l), shape))
+        dh = np.add(dm, dh, out=dh)
+    return dqs, dms, dh
 
 
 def _require_batch(batch) -> GraphBatch:
@@ -345,13 +370,38 @@ def _require_batch(batch) -> GraphBatch:
 
 def _gnn_forward(features: ad.Tensor, batch: GraphBatch, weights: list[ad.Tensor],
                  final_linear: bool) -> ad.Tensor:
-    """`gnn_layers` on a tape over a batch's rows; the last layer may stay linear."""
+    """`gnn_layers` over a batch's rows as one tape op; the last layer may
+    stay linear. Its backward is `gnn_backward`, with the weights'
+    transposed views, and dW_l = (h_l + P h_l)^T dq_l, products that give
+    the bits of the layers written as primitive ops. Each layer's
+    pre-activation is checked, as a ReLU can turn an intermediate -inf
+    into 0."""
     p = _require_batch(batch).propagation
-    h = features
-    for i, w in enumerate(weights):
-        z = ad.matmul(ad.add(h, ad.edge_aggregate(h, p)), w)
-        h = z if (final_linear and i == len(weights) - 1) else ad.relu(z)
-    return h
+    count, m, _ = p.shape
+    xv = features.value
+    if xv.ndim != 2 or xv.shape[0] != count * m:
+        raise ValueError(f"{xv.shape} feature rows for a batch of {count} x {m} nodes")
+    ws = [w.value for w in weights]
+    kept = {}  # gnn_layers' arrays; ("ph", l) holds h_l + P h_l
+    with np.errstate(over="ignore", invalid="ignore"):  # blowups become NonFiniteError
+        hs, qs = gnn_layers(p, xv.reshape(count, m, -1), ws, kept)
+    if not all(np.isfinite(q).all() for q in qs):
+        raise ad.NonFiniteError("matmul produced non-finite output")
+    out = qs[-1] if final_linear else hs[-1]
+    stop = 0 if features.requires_grad else 1  # a constant input needs no dx
+
+    def backward(g):
+        dqs, _, dx = gnn_backward(p, qs, [w.T for w in ws], g.reshape(out.shape),
+                                  final_linear, stop)
+        grads = [(w.tid, kept["ph", l].reshape(-1, w.shape[0]).T
+                  @ dq.reshape(-1, w.shape[1]))
+                 for l, (w, dq) in enumerate(zip(weights, dqs))]
+        if stop == 0:
+            grads.append((features.tid, dx.reshape(xv.shape)))
+        return grads
+
+    return features.tape.emit("gnn_layers", (features, *weights),
+                              out.reshape(count * m, -1), backward)
 
 
 def encode(batch: GraphBatch, features: ad.Tensor,
@@ -488,13 +538,20 @@ def proxy_head(p0: np.ndarray, p1: np.ndarray):
     (B, 1, h) stack, g[:, None] @ w: B 1-row products, which give a row the
     same bits in any batch, where BLAS picks its kernel for a plain (B, h)
     product by B. Here the scores are cosines to the proxies; a row whose
-    norm is clamped gets none through its norm."""
+    norm is clamped gets none through its norm. A proxy whose norm overflows
+    would give every row a cosine of 0 to it, so scoring rows then raises
+    NonFiniteError naming the proxy; building the head does not, so that a
+    caller's encoder checks can run first."""
     n0 = max(float(np.linalg.norm(p0)), ad.NORM_CLAMP)
     n1 = max(float(np.linalg.norm(p1)), ad.NORM_CLAMP)
+    diverged = [name for name, norm in (("proxy_benign", n0), ("proxy_malicious", n1))
+                if not math.isfinite(norm)]
     proxies = np.stack([p0, p1], axis=1)
     du = p0 / n0 - p1 / n1  # gn times the margin's gradient, less its radial part
 
     def head(g, grad=False):
+        if diverged:
+            raise ad.NonFiniteError(f"{diverged[0]} has a norm that overflows")
         raw = np.sqrt(np.add.reduce(g * g, axis=1))  # np.linalg.norm, less overhead
         gn = np.maximum(raw, ad.NORM_CLAMP)
         dots = g[:, None] @ proxies

@@ -2,9 +2,11 @@
 
 One minibatch loop (`minibatch_epoch`) trains the detector and the attack's
 distilled surrogate: per epoch the graphs are reshuffled, and each batch is
-one tape, over its graphs padded and stacked (`model.GraphBatch`), whose
-scalar is the sum of the per-graph losses; the optimizer steps once on its
-gradient over the batch size, the mean. The detector draws each graph's mask
+one tape, over its graphs padded and stacked (`model.GraphBatch`), on which
+each encoder or decoder pass is one op (`model.gnn_layers` forward,
+`model.gnn_backward` backward), and whose scalar is the sum of the
+per-graph losses; the optimizer steps once on its gradient over the batch
+size, the mean. The detector draws each graph's mask
 plan from the permutation's generator, in batch order, before the tape is
 built; its classifier term reads the encoder output on the masked input, the
 pass that feeds the decoder, and validation takes predict's labels.
@@ -322,8 +324,9 @@ def evaluate(params: M.ModelParams, graphs: list[FeatureGraph]) -> Metrics:
     graphs of one node count (`model.score_graphs`); malicious is positive."""
     if not graphs:
         raise ValueError("evaluate needs at least one graph")
-    # The head is built before the encoder checks run: a diverged run's proxy
-    # norm may overflow here, and its encoder error is the one to raise.
+    # The head is built before the encoder runs and raises nothing: a proxy
+    # norm that overflows is reported when the head scores rows, after the
+    # encoder's checks of each graph, in predict's order.
     with np.errstate(over="ignore"):
         head = M.score_head(params)
     pred = M.score_graphs(graphs, params.encoder_weights, head)[1] == 1

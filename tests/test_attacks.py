@@ -190,9 +190,9 @@ def test_surrogate_label_rejects_overflowing_weights(arch):
 VICTIM_KINDS = ("proxy", "head", "gnn2_mlp", "degree_mlp")
 
 
-def make_victim(case, seed):
+def make_victim(case, seed, layers=2):
     if case in ("proxy", "head"):
-        return AT.DetectorVictim(rand_params(seed, head=case == "head"))
+        return AT.DetectorVictim(rand_params(seed, head=case == "head", layers=layers))
     arch = "gnn2_mlp" if case == "gnn2_mlp" else "mlp_on_degree_features"
     return AT.SurrogateVictim(AT._init_surrogate(arch, D, 8, seed))
 
@@ -212,10 +212,13 @@ def all_pairs(n):
     return [np.array(v) for v in zip(*[(s, t) for s in range(n) for t in range(n)])]
 
 
-@pytest.mark.parametrize("case", VICTIM_KINDS)
-def test_batched_adjacency_gradient_matches_finite_differences(case):
+@pytest.mark.parametrize("case, layers", [pytest.param(case, 2, id=case) for case in VICTIM_KINDS]
+                         + [(case, layers) for case in ("proxy", "head") for layers in (1, 3, 4)])
+def test_batched_adjacency_gradient_matches_finite_differences(case, layers):
+    """At depth 1 `model.gnn_backward` walks no layer past the first's
+    ReLU; at depths 3 and 4 it walks several."""
     g = rand_graph(5, 11)
-    victim = make_victim(case, 7 if case in ("proxy", "head") else 5)
+    victim = make_victim(case, 7 if case in ("proxy", "head") else 5, layers)
     # fractional interior point: all entries strictly inside (0,1)
     rng = np.random.default_rng(13)
     a = rng.uniform(0.1, 0.9, size=(5, 5))

@@ -269,6 +269,35 @@ def test_divergence_in_a_batch_names_the_graph_and_the_op(variant, monkeypatch):
         T.train(graphs, graphs, cfg)
 
 
+def overflowing_proxies(params):
+    """Finite proxies whose norms overflow, beside a finite encoder: every
+    cosine to them would read 0."""
+    params.proxy_benign = np.full(params.hidden_dim, 1e200)
+    params.proxy_malicious = np.full(params.hidden_dim, -1e200)
+    return params
+
+
+def test_proxies_whose_norm_overflows_are_not_scored():
+    params = overflowing_proxies(M.init_params(D, 8, 2, rng_seed=0))
+    graphs = toy_dataset(2)
+    want = r"^proxy_benign has a norm that overflows$"
+    with pytest.raises(ad.NonFiniteError, match=want):
+        T.evaluate(params, graphs)
+    with np.errstate(over="ignore"), pytest.raises(ad.NonFiniteError, match=want):
+        M.predict(graphs[0], params)
+
+
+def test_divergence_of_the_proxies_ends_in_the_validation_pass(monkeypatch):
+    init = M.init_params
+    monkeypatch.setattr(M, "init_params",
+                        lambda *args, **kwargs: overflowing_proxies(init(*args, **kwargs)))
+    graphs = toy_dataset(3)
+    with np.errstate(over="ignore"), pytest.raises(
+            T.TrainingDiverged,
+            match=r"^epoch 1, validation pass: proxy_benign has a norm that overflows$"):
+        T.train(graphs, graphs, small_config())
+
+
 # ------------------------------------------------------------------ batched tape
 
 def odd_graphs():
@@ -293,6 +322,64 @@ def reference_layers(h, p, weights, final_linear):
         z = ad.matmul(ad.add(h, ad.matmul(pt, h)), w)
         h = z if (final_linear and i == len(weights) - 1) else ad.relu(z)
     return h
+
+
+def per_op_layers(h, p, weights, final_linear):
+    """The GCN layers on a tape as one op per step, propagating the rows of
+    `h` blockwise by a (B, m, m) stack `p`: the tape's layers before they
+    were one op."""
+    for i, w in enumerate(weights):
+        z = ad.matmul(ad.add(h, ad.edge_aggregate(h, p)), w)
+        h = z if (final_linear and i == len(weights) - 1) else ad.relu(z)
+    return h
+
+
+@pytest.mark.parametrize("layers", [1, 2, 3, 4])
+@pytest.mark.parametrize("final_linear", [False, True])
+@pytest.mark.parametrize("input_grad", [False, True])
+def test_layer_op_gives_the_bits_of_per_op_layers(layers, final_linear, input_grad):
+    """The one-op layer stack has the forward rows and the gradients of the
+    input and of every weight of the per-op layers, bit for bit, on padded
+    odd graphs, with the hidden width apart from the feature width; a
+    linear last layer maps back to the feature width, as the decoder's
+    does. At hidden width 32 a product by a contiguous transpose of layer
+    0's (6, 32) weight gives other bits than one by its transposed view.
+
+    The op multiplies by W_l one graph's m rows at a time, where the per-op
+    layers made one product over all B*m rows. OpenBLAS gives both the same
+    bits at these widths, but not at an output width of 1-3 after an input
+    width of 16 or more."""
+    batch = M.batch_graphs(odd_graphs())
+    rng = np.random.default_rng(layers)
+    widths = [D] + [32] * (layers - 1) + [D if final_linear else 32]
+    weights = [rng.normal(size=shape) for shape in zip(widths[:-1], widths[1:])]
+    coeffs = rng.normal(size=(len(batch.features), widths[-1]))
+    plan = M.MaskPlan(tuple(batch.rows(1, [0, 2]) + batch.rows(4, [1])), 0.5)
+    token = rng.normal(size=D)
+
+    def run(layer_stack):
+        tape = ad.Tape()
+        ws = [tape.param(w) for w in weights]
+        if input_grad:
+            x = tape.param(batch.features)
+            leaves = [x, tape.param(token)] + ws
+            xin = M.apply_mask(x, plan, leaves[1])
+        else:
+            leaves = ws
+            xin = tape.constant(batch.features)
+        out = layer_stack(xin, ws)
+        grads = ad.backward(tape, ad.sum_all(ad.mul(out, tape.constant(coeffs))))
+        return out.value, [grads[t.tid] for t in leaves]
+
+    p = batch.propagation
+    want_rows, want = run(lambda xin, ws: per_op_layers(xin, p, ws, final_linear))
+    encode_or_decode = M.decode if final_linear else M.encode
+    rows, got = run(lambda xin, ws: encode_or_decode(batch, xin, ws))
+    assert np.array_equal(rows, want_rows)
+    assert len(got) == len(want) == layers + 2 * input_grad
+    for i, (g, w) in enumerate(zip(got, want)):
+        assert np.array_equal(g, w), i
+        assert np.any(g != 0), i
 
 
 def reference_head(g, weights):
