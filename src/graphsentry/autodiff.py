@@ -347,7 +347,9 @@ def tile_rows(v: Tensor, k: int) -> Tensor:
 def edge_aggregate(x: Tensor, p: np.ndarray) -> Tensor:
     """Neighbour sum through a constant (B, m, m) stack of propagation
     matrices, blockwise over the B*m rows of x: block b (rows b*m ..
-    b*m+m-1) is propagated by p[b]."""
+    b*m+m-1) is propagated by p[b]. The package's layers do not call it
+    (`model._gnn_forward` is one op); the tests' per-op reference layers
+    do, and the benchmark's tracer names it."""
     xv = x.value
     if (p.ndim != 3 or p.shape[1] != p.shape[2] or xv.ndim != 2
             or xv.shape[0] != p.shape[0] * p.shape[1]):
