@@ -353,11 +353,10 @@ def gnn_backward(p: np.ndarray, qs: list[np.ndarray], transposes: list[np.ndarra
         if l < stop:
             break
         t = transposes[l]
-        shape = dq.shape[:-1] + t.shape[1:]
-        dm = scratch(buffers, ("dm", l), shape)
-        dm = dms[l] = np.matmul(dq.reshape(-1, t.shape[0]), t, out=None if dm is None
-                                else dm.reshape(-1, t.shape[1])).reshape(shape)
-        dh = np.matmul(np.swapaxes(p, -1, -2), dm, out=scratch(buffers, ("dh", l), shape))
+        rows = dq.reshape(-1, t.shape[0])
+        dm = np.matmul(rows, t, out=scratch(buffers, ("dm", l), (len(rows), t.shape[1])))
+        dm = dms[l] = dm.reshape(dq.shape[:-1] + t.shape[1:])
+        dh = np.matmul(np.swapaxes(p, -1, -2), dm, out=scratch(buffers, ("dh", l), dm.shape))
         dh = np.add(dm, dh, out=dh)
     return dqs, dms, dh
 
