@@ -14,9 +14,11 @@ padded minibatch (`GraphBatch`, whose (B, m, m) stack of P comes from one
 `edge_propagation` call), one graph being a batch of one; inference and the
 attack call `gnn_layers` directly, the attack's relaxed backward calls
 `gnn_backward`, and both score embeddings by one head per family
-(`proxy_head`, `logits_head`). Inference (`graph_embeddings`) runs graphs
-of one node count as one unpadded (k, n, n) stack, so each graph gets the
-bits it gets alone.
+(`proxy_head`, `logits_head`). Every inference call, for one graph or many,
+runs one path: `graph_stacks` → `gnn_layers` → `classify_rows`. Graphs of
+one node count run as one unpadded (k, n, n) stack, so each graph gets the
+bits it gets alone, and a stack that fails a check names its graph by
+running the graphs alone.
 The module holds no mutable state: a training run counts its own masking
 and decoding from its tapes.
 """
@@ -24,7 +26,6 @@ from __future__ import annotations
 
 import base64
 import binascii
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -124,7 +125,6 @@ class MaskPlan:
     """Which node rows get replaced by the learnable mask token."""
 
     masked: tuple[int, ...]
-    gamma: float
 
 
 @dataclass(frozen=True)
@@ -213,7 +213,7 @@ def sample_mask(node_count: int, gamma: float, rng: np.random.Generator) -> Mask
     k = int(np.floor(gamma * node_count + 0.5))  # round half up
     k = min(max(k, 1), node_count - 1)
     idx = rng.choice(node_count, size=k, replace=False)
-    return MaskPlan(masked=tuple(sorted(int(i) for i in idx)), gamma=gamma)
+    return MaskPlan(masked=tuple(sorted(int(i) for i in idx)))
 
 
 def apply_mask(features: ad.Tensor, plan: MaskPlan, mask_token: ad.Tensor) -> ad.Tensor:
@@ -424,11 +424,10 @@ def readout(node_embeddings: ad.Tensor, batch: GraphBatch) -> ad.Tensor:
     return ad.matmul(node_embeddings.tape.constant(pool), node_embeddings)
 
 
-def bind_params(tape: ad.Tape, params: ModelParams,
-                trainable: bool = True) -> dict[str, ad.Tensor]:
-    """Place every parameter array on a tape, keyed by its stable name."""
-    make = tape.param if trainable else tape.constant
-    return {name: make(arr) for name, arr in params.named_arrays().items()}
+def bind_params(tape: ad.Tape, params: ModelParams) -> dict[str, ad.Tensor]:
+    """Place every parameter array on a tape as a trainable leaf, keyed by its
+    stable name."""
+    return {name: tape.param(arr) for name, arr in params.named_arrays().items()}
 
 
 def _layer_tensors(bound: dict[str, ad.Tensor], prefix: str) -> list[ad.Tensor]:
@@ -464,27 +463,18 @@ def graph_stacks(graphs: list[FeatureGraph]):
     P, deg, X), the `edge_propagation` of the graphs[i] for i in indices
     and their (k, n, d) features. Raises ValueError naming the first empty
     graph."""
-    for g in graphs:
+    runs = {}  # node count -> input indices
+    for i, g in enumerate(graphs):
         if g.node_count < 1:
             raise ValueError(f"graph {g.graph_id} is empty")
-    if len(graphs) == 1:  # the one-graph call, without the sort
-        yield ([0],) + _stack(graphs, graphs[0].node_count)
-        return
-    order = sorted(range(len(graphs)), key=lambda i: graphs[i].node_count)
-    for n, run in itertools.groupby(order, key=lambda i: graphs[i].node_count):
-        run = list(run)
+        runs.setdefault(g.node_count, []).append(i)
+    for n, run in sorted(runs.items()):
         cap = max(1, STACK_ENTRIES // (n * n))
         for start in range(0, len(run), cap):
             indices = run[start:start + cap]
-            yield (indices,) + _stack([graphs[i] for i in indices], n)
-
-
-def _stack(members: list[FeatureGraph], n: int) -> tuple[np.ndarray, ...]:
-    """(P, deg, X) of k graphs of n nodes: their `edge_propagation` and
-    (k, n, d) features; a lone graph keeps its own feature array."""
-    x = (members[0].features[None] if len(members) == 1
-         else np.stack([g.features for g in members]))
-    return edge_propagation(members, n) + (x,)
+            members = [graphs[i] for i in indices]
+            yield (indices, *edge_propagation(members, n),
+                   np.array([g.features for g in members]))  # np.stack's bytes, faster
 
 
 def graph_embeddings(graphs: list[FeatureGraph], weights: list[np.ndarray]) -> np.ndarray:
@@ -494,33 +484,25 @@ def graph_embeddings(graphs: list[FeatureGraph], weights: list[np.ndarray]) -> n
     the order of operations of a lone graph, so a graph's row is the same
     bits in any call. Raises NonFiniteError naming the first graph, in input
     order, whose layer pre-activation or embedding norm is not finite; each
-    layer is checked because a ReLU can turn an intermediate -inf into 0."""
-    parts = []  # (indices, rows) of each stack
-    first = None  # (input index, message) of the first graph that overflows
+    layer is checked because a ReLU can turn an intermediate -inf into 0.
+    A stack that fails a check runs every graph of the call alone, in input
+    order; if none fails alone, only the stack's summed squares overflowed."""
+    out = np.empty((len(graphs), weights[-1].shape[1]))
     for indices, p, _, x in graph_stacks(graphs):
         with np.errstate(over="ignore", invalid="ignore"):
             hs, qs = gnn_layers(p, x, weights)
             g = hs[-1].sum(axis=1) / p.shape[1]  # np.mean's bits, less overhead
             sq_norm = float(np.vdot(g, g))  # when finite, so is every row's norm
-        parts.append((indices, g))
-        if math.isfinite(sq_norm) and all(np.isfinite(q).all() for q in qs):
-            continue
-        for j, i in enumerate(indices):  # ascending: the stack's first is its least
-            with np.errstate(over="ignore", invalid="ignore"):
-                row_norm = g[j] @ g[j]  # finite exactly when np.linalg.norm(g[j]) is
-            bad = [l for l, q in enumerate(qs) if not np.isfinite(q[j]).all()]
-            if bad or not np.isfinite(row_norm):
+        bad = [l for l, q in enumerate(qs) if not np.isfinite(q).all()]
+        if bad or not math.isfinite(sq_norm):
+            if len(graphs) == 1:
                 what = (f"encoder layer {bad[0]} output is not finite" if bad
                         else "embedding norm overflows")
-                if first is None or i < first[0]:
-                    first = (i, f"graph {graphs[i].graph_id}: {what}")
-                break
-    if first is not None:
-        raise ad.NonFiniteError(first[1])
-    if len(parts) == 1:  # one stack holds the graphs in input order
-        return parts[0][1]
-    out = np.empty((len(graphs), weights[-1].shape[1]))
-    for indices, g in parts:
+                raise ad.NonFiniteError(f"graph {graphs[0].graph_id}: {what}")
+            for graph in graphs:
+                graph_embeddings([graph], weights)
+        if len(indices) == len(graphs):  # one stack holds the graphs in input order
+            return g
         out[indices] = g
     return out
 
@@ -596,12 +578,6 @@ def classify_rows(head, g: np.ndarray, graph_ids: list[str]):
     return (s1 >= s0).astype(int), s0, s1
 
 
-def classify(head, g: np.ndarray, graph_id: str) -> tuple[int, float, float]:
-    """(label, s0, s1) of graph `graph_id`'s (h,) embedding, by `classify_rows`."""
-    labels, s0, s1 = classify_rows(head, g[None], [graph_id])
-    return int(labels[0]), float(s0[0]), float(s1[0])
-
-
 def score_graphs(graphs: list[FeatureGraph], weights: list[np.ndarray], head):
     """(embeddings, labels, s0, s1) of `graphs`: `graph_embeddings` under
     encoder `weights`, then `classify_rows` under `head`. Raises
@@ -611,8 +587,9 @@ def score_graphs(graphs: list[FeatureGraph], weights: list[np.ndarray], head):
     try:
         rows = graph_embeddings(graphs, weights)
     except ad.NonFiniteError:
-        for graph in graphs:
-            classify(head, graph_embedding(graph, weights), graph.graph_id)
+        if len(graphs) > 1:
+            for graph in graphs:
+                score_graphs([graph], weights, head)
         raise
     return (rows,) + classify_rows(head, rows, [graph.graph_id for graph in graphs])
 
@@ -621,7 +598,8 @@ def predict(graph: FeatureGraph, params: ModelParams) -> tuple[int, float, float
     """Full unmasked forward, classified by the detector's head. The head is
     built on every call, as training updates `params` in place."""
     g = graph_embedding(graph, params.encoder_weights)  # first: it names an overflow
-    return classify(score_head(params), g, graph.graph_id)
+    labels, s0, s1 = classify_rows(score_head(params), g[None], [graph.graph_id])
+    return int(labels[0]), float(s0[0]), float(s1[0])
 
 
 def _encode_array(arr: np.ndarray) -> dict:

@@ -219,7 +219,7 @@ def detector_loss_tape(members: list[tuple[FeatureGraph, M.MaskPlan | None]],
     graphs = [g for g, _ in members]
     batch = M.batch_graphs(graphs)
     tape = ad.Tape()
-    bound = M.bind_params(tape, params, trainable=True)
+    bound = M.bind_params(tape, params)
     x = tape.constant(batch.features)
 
     masked, row_weights = [], []
@@ -227,7 +227,7 @@ def detector_loss_tape(members: list[tuple[FeatureGraph, M.MaskPlan | None]],
         if plan is not None:
             masked += batch.rows(b, plan.masked)
             row_weights += [1.0 / len(plan.masked)] * len(plan.masked)
-    plan = M.MaskPlan(tuple(masked), config.gamma)
+    plan = M.MaskPlan(tuple(masked))
     h = M.encode(batch, M.apply_mask(x, plan, bound["mask_token"]),
                  M.encoder_tensors(bound))
     g = M.readout(h, batch)

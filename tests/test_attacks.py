@@ -150,7 +150,7 @@ def test_surrogate_label_is_the_sign_of_the_relaxed_margin(arch):
             f = margin(victim, g.features, M.adjacency(g)[None])
             emb = (M.graph_embedding(g, victim.encoder) if arch == "gnn2_mlp"
                    else AT._degree_summary(g.features, M.adjacency(g)[None])[0])
-            _, s0, s1 = M.classify(victim.head, emb, g.graph_id)
+            _, (s0,), (s1,) = M.classify_rows(victim.head, emb[None], [g.graph_id])
             assert victim.label(g) == (1 if f[0] <= 0 else 0), g.graph_id
             assert s0 - s1 == f[0], g.graph_id
             labels.add(victim.label(g))

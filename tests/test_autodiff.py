@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fd_check import finite_difference_check
 from graphsentry import autodiff as ad
 
 
@@ -108,8 +109,8 @@ def test_fd_harness_passes_on_composite_cosine_loss():
         return ad.square(ad.cosine(g, p))
     arrays = rng_arrays(7, [(5, 3), (3, 4), (4,)])
     arrays[0] = np.abs(arrays[0]) + 0.2  # keep relu away from its kink
-    rep = ad.finite_difference_check(make_closure(build, None), arrays,
-                                     step=1e-6, tolerance=1e-5)
+    rep = finite_difference_check(make_closure(build, None), arrays,
+                                  step=1e-6, tolerance=1e-5)
     assert rep.passed, str(rep)
     assert rep.worst_error < 1e-5
 
@@ -121,8 +122,8 @@ def test_fd_harness_detects_planted_factor_two_bug():
         out = ad.sum_all(ad.mul(x, x))
         grads = ad.backward(tape, out)
         return float(out.value), [2.0 * grads[x.tid]]  # planted bug
-    rep = ad.finite_difference_check(buggy, [np.array([1.0, -2.0, 0.5])],
-                                     step=1e-6, tolerance=1e-4)
+    rep = finite_difference_check(buggy, [np.array([1.0, -2.0, 0.5])],
+                                  step=1e-6, tolerance=1e-4)
     assert not rep.passed
     assert rep.worst_error > 0.4  # factor 2 shows up as ~50% relative error
 
@@ -158,8 +159,8 @@ OP_CASES = {
 def test_op_gradient_matches_finite_differences(name):
     build, shapes = OP_CASES[name]
     arrays = rng_arrays(hash(name) % 2**32, shapes, lo=0.5, hi=2.0)  # positive: safe for log/relu
-    rep = ad.finite_difference_check(make_closure(build, shapes), arrays,
-                                     step=1e-6, tolerance=1e-5)
+    rep = finite_difference_check(make_closure(build, shapes), arrays,
+                                  step=1e-6, tolerance=1e-5)
     assert rep.passed, f"{name}: {rep}"
 
 
@@ -177,7 +178,7 @@ def test_edge_aggregate_forward_and_gradient():
 
     def build(tape, ts):
         return ad.sum_all(ad.square(ad.edge_aggregate(ts[0], p[None])))
-    rep = ad.finite_difference_check(make_closure(build, None), [x], tolerance=1e-5)
+    rep = finite_difference_check(make_closure(build, None), [x], tolerance=1e-5)
     assert rep.passed, str(rep)
     with pytest.raises(ValueError):
         ad.edge_aggregate(tx, np.zeros((1, 3, 3)))
@@ -193,7 +194,7 @@ def test_edge_aggregate_applies_a_stack_blockwise():
 
     def build(tape, ts):
         return ad.sum_all(ad.square(ad.edge_aggregate(ts[0], stack)))
-    rep = ad.finite_difference_check(make_closure(build, None), [x], tolerance=1e-5)
+    rep = finite_difference_check(make_closure(build, None), [x], tolerance=1e-5)
     assert rep.passed, str(rep)
     # a single (4, 4) matrix of the right size is not a stack either
     for bad in (np.zeros((2, 2, 3)), np.zeros((3, 2, 2)), np.zeros(4), np.zeros((4, 4))):

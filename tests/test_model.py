@@ -114,7 +114,7 @@ def test_apply_mask_replaces_only_planned_rows():
     tape = ad.Tape()
     x = tape.constant(np.arange(12.0).reshape(3, 4))
     tok = tape.constant(np.full(4, 9.0))
-    out = M.apply_mask(x, M.MaskPlan((1,), 0.3), tok)
+    out = M.apply_mask(x, M.MaskPlan((1,)), tok)
     np.testing.assert_array_equal(out.value[1], np.full(4, 9.0))
     np.testing.assert_array_equal(out.value[0], x.value[0])
     np.testing.assert_array_equal(out.value[2], x.value[2])
@@ -123,7 +123,7 @@ def test_apply_mask_replaces_only_planned_rows():
 def test_apply_mask_empty_plan_is_identity():
     tape = ad.Tape()
     x = tape.constant(np.ones((3, 4)))
-    out = M.apply_mask(x, M.MaskPlan((), 0.3), tape.constant(np.zeros(4)))
+    out = M.apply_mask(x, M.MaskPlan(()), tape.constant(np.zeros(4)))
     assert out is x
 
 
@@ -131,13 +131,13 @@ def test_mask_token_gradient_counts_masked_rows():
     tape = ad.Tape()
     x = tape.constant(np.zeros((5, 3)))
     tok = tape.param(np.array([0.1, 0.2, 0.3]))
-    out = ad.sum_all(M.apply_mask(x, M.MaskPlan((0, 2, 4), 0.6), tok))
+    out = ad.sum_all(M.apply_mask(x, M.MaskPlan((0, 2, 4)), tok))
     grads = ad.backward(tape, out)
     np.testing.assert_array_equal(grads[tok.tid], np.full(3, 3.0))
 
 
 def test_masking_locality_masked_row_content_is_irrelevant():
-    plan = M.MaskPlan((1,), 0.3)
+    plan = M.MaskPlan((1,))
     tok = np.full(4, 7.0)
     x1 = np.arange(12.0).reshape(3, 4)
     x2 = x1.copy()
@@ -153,7 +153,7 @@ def test_masking_locality_masked_row_content_is_irrelevant():
 def test_remask_zeroes_rows_and_blocks_gradient():
     tape = ad.Tape()
     emb = tape.param(np.ones((3, 2)))
-    out = M.remask(emb, M.MaskPlan((0, 2), 0.6))
+    out = M.remask(emb, M.MaskPlan((0, 2)))
     np.testing.assert_array_equal(out.value, [[0, 0], [1, 1], [0, 0]])
     grads = ad.backward(tape, ad.sum_all(out))
     np.testing.assert_array_equal(grads[emb.tid], [[0, 0], [1, 1], [0, 0]])
@@ -336,8 +336,8 @@ def test_predict_equals_forward_after_empty_mask_plan():
     p = M.init_params(SCHEMA, 8, 2, rng_seed=4)
     g = make_graph(4, [(0, 1), (1, 2), (2, 3)], seed=7)
     tape = ad.Tape()
-    bound = M.bind_params(tape, p, trainable=False)
-    x = M.apply_mask(tape.constant(g.features), M.MaskPlan((), 0.8),
+    bound = {name: tape.constant(arr) for name, arr in p.named_arrays().items()}
+    x = M.apply_mask(tape.constant(g.features), M.MaskPlan(()),
                      bound["mask_token"])
     rows = M.encode(M.batch_graphs([g]), x, M.encoder_tensors(bound)).value
     hs, _ = M.gnn_layers(M.propagation_terms(g), g.features, p.encoder_weights)
@@ -351,7 +351,7 @@ def test_deep_models_run_layers_in_index_order(layers):
     p = M.init_params(SCHEMA, 8, layers, rng_seed=layers)
     g = make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)], seed=1)
     tape = ad.Tape()
-    bound = M.bind_params(tape, p, trainable=False)
+    bound = {name: tape.constant(arr) for name, arr in p.named_arrays().items()}
     enc = M.encoder_tensors(bound)
     dec = M.decoder_tensors(bound)
     for tensors, arrays in ((enc, p.encoder_weights), (dec, p.decoder_weights)):

@@ -6,6 +6,8 @@ per-graph predict path. The population mixes a 1-node graph, an edgeless
 graph, isolated nodes and one node count with more graphs than a stack
 holds, in shuffled order.
 """
+import os
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,8 @@ from graphsentry.graphdata import (FeatureGraph, FeatureSchema, SyntheticConfig,
 
 D = 6
 SPLIT = 60  # a node count whose graphs span two stacks
+VICTIM = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                      "victim_full_seed0.json")
 
 
 def rand_graph(n, seed, p=0.2, label=None):
@@ -163,7 +167,8 @@ def test_surrogate_rows_and_labels_are_each_graphs_alone(arch):
         want = [AT._degree_summary(g.features, M.adjacency(g)[None])[0] for g in graphs]
     for g, row, w in zip(graphs, rows, want):
         assert row.tobytes() == w.tobytes(), g.graph_id
-    labels = [M.classify(victim.head, w, g.graph_id)[0] for g, w in zip(graphs, want)]
+    labels = [int(M.classify_rows(victim.head, w[None], [g.graph_id])[0][0])
+              for g, w in zip(graphs, want)]
     assert victim.labels(graphs) == labels
     assert [victim.label(g) for g in graphs] == labels
 
@@ -238,6 +243,30 @@ def test_overflow_names_the_first_graph_in_input_order(layers, scale, what):
         with pytest.raises(ad.NonFiniteError) as exc:
             M.graph_embeddings(graphs, weights)
         assert str(exc.value) == want
+
+
+def test_a_stack_whose_summed_squares_overflow_is_no_error():
+    """The norm screen's false alarm: the 113 twelve-node desk graphs make one
+    stack whose sum of squared embedding norms overflows under the desk
+    victim's encoder, scaled so that the largest row's squared norm is about
+    1e308, while every row's is finite. No graph fails alone, so the stack's
+    rows stand: each is its graph's lone bits, and the labels are predict's."""
+    params, _ = M.load_checkpoint(VICTIM)
+    graphs = [g for g in desk_graphs() if g.node_count == 12]
+    rows = M.graph_embeddings(graphs, params.encoder_weights)
+    scale = (1e308 / (rows * rows).sum(axis=1).max()) ** 0.25  # 2 ReLU layers
+    params.encoder_weights = [w * scale for w in params.encoder_weights]
+    rows = M.graph_embeddings(graphs, params.encoder_weights)
+    assert len(graphs) == 113 and len(list(M.graph_stacks(graphs))) == 1
+    with np.errstate(over="ignore"):
+        assert np.vdot(rows, rows) == np.inf
+    assert np.isfinite((rows * rows).sum(axis=1)).all()
+    for g, row in zip(graphs, rows):
+        assert row.tobytes() == M.graph_embedding(g, params.encoder_weights).tobytes()
+    _, labels, _, _ = M.score_graphs(graphs, params.encoder_weights,
+                                     M.score_head(params))
+    assert labels.tolist() == [M.predict(g, params)[0] for g in graphs]
+    assert AT.DetectorVictim(params).labels(graphs) == labels.tolist()
 
 
 def test_an_empty_graph_is_rejected_by_name():

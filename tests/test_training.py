@@ -354,7 +354,7 @@ def test_layer_op_gives_the_bits_of_per_op_layers(layers, final_linear, input_gr
     widths = [D] + [32] * (layers - 1) + [D if final_linear else 32]
     weights = [rng.normal(size=shape) for shape in zip(widths[:-1], widths[1:])]
     coeffs = rng.normal(size=(len(batch.features), widths[-1]))
-    plan = M.MaskPlan(tuple(batch.rows(1, [0, 2]) + batch.rows(4, [1])), 0.5)
+    plan = M.MaskPlan(tuple(batch.rows(1, [0, 2]) + batch.rows(4, [1])))
     token = rng.normal(size=D)
 
     def run(layer_stack):
