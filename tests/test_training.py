@@ -3,6 +3,7 @@ variant wiring, and the padded minibatch tape against per-graph tapes."""
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -486,6 +487,19 @@ def test_surrogate_batch_tape_equals_sum_of_per_graph_tapes(arch):
     assert_batches_match_per_graph_sums(
         members, 4, lambda ms: AT.surrogate_loss_tape(sp, ms),
         lambda m: reference_surrogate_loss(sp, m[0], m[1]))
+
+
+@pytest.mark.parametrize("arch", AT.ARCHITECTURES)
+def test_a_diverged_distillation_names_the_graph_and_the_op(arch):
+    """At a learning rate of 1e200 the surrogate's products overflow in a
+    later batch; the batch is replayed graph by graph, the error names the
+    first graph that fails alone and its op, and no numpy warning escapes."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ad.NonFiniteError,
+                           match=r"^graph b5: matmul produced non-finite output$"):
+            AT.distill_surrogate(lambda g: g.label, toy_dataset(6), arch, epochs=3,
+                                 hidden=8, batch_size=4, learning_rate=1e200)
 
 
 def test_a_batch_of_large_graphs_stays_small():
