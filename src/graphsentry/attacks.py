@@ -16,17 +16,19 @@ querying the victim.
 Gradients with respect to adjacency are computed by a hand-derived, batched
 reverse pass over the relaxed forward, one batch row per unordered candidate
 pair per integration step (per directed candidate edge for a victim that does
-not symmetrize); the training tape stays out of the attack hot path, but the
-layer backward is the one the tape's layer op runs (`model.gnn_backward`),
-and the attack adds only what P's dependence on A needs. A row
-asks for the one entry it integrates: `margin_grad_batched(features, a_batch,
-src, dst)` returns the margins f and d[b] = df_b / da_batch[b, src_b, dst_b],
-so the backward forms rows and columns src and dst of dP only and no (n, n)
-gradient per row. Each victim writes the pass's arrays into buffers it keeps
-across calls, so a chunk reuses the memory of the one before. A victim's
-labels need no gradient: `labels` runs the inference forward over stacks of
-graphs of one node count (`model.graph_embeddings`), and distillation
-labels its training graphs that way.
+not symmetrize); no tape runs in the attack, but the layer backward is the
+one the detector's tape runs (`model.gnn_backward`), and the attack adds
+only what P's dependence on A needs. A row asks for the one entry it
+integrates: `margin_grad_batched(features, a_batch, src, dst)` returns the
+margins f and d[b] = df_b / da_batch[b, src_b, dst_b], so the backward forms
+rows and columns src and dst of dP only and no (n, n) gradient per row.
+Each victim writes the pass's arrays into buffers it keeps across calls, so
+a chunk reuses the memory of the one before. A victim's labels need no
+gradient: `labels` runs the inference forward over stacks of graphs of one
+node count (`model.graph_embeddings`), and distillation labels its training
+graphs that way. Distillation builds no tape either: each batch is one call
+of `surrogate_batch_grads`, whose hand-written backward gives the bits of
+the same loss written as tape ops.
 """
 from __future__ import annotations
 
@@ -37,7 +39,6 @@ import numpy as np
 from . import autodiff as ad
 from . import model as M
 from .graphdata import FeatureGraph
-from .losses import cross_entropy_logits
 from .training import Adam, batch_tape, minibatch_epoch
 
 # Rows per margin_grad_batched call. At desk sizes (n <= 19, hidden 32) one
@@ -461,23 +462,73 @@ def _init_surrogate(architecture: str, d: int, hidden: int,
     return SurrogateParams(architecture=architecture, weights=weights)
 
 
-def surrogate_loss_tape(sp: SurrogateParams, members: list[tuple[FeatureGraph, int]]):
-    """One tape over a batch of (graph, victim label) members: (tape, bound,
-    the sum of their cross-entropies). A GNN surrogate runs on the padded
-    batch (model.GraphBatch)."""
-    tape = ad.Tape()
-    bound = {k: tape.param(v) for k, v in sp.weights.items()}
+def _check(kind: str, *values) -> None:
+    """Raise the tape's NonFiniteError for an op `kind` whose output is not
+    finite."""
+    if not all(np.isfinite(v).all() for v in values):
+        raise ad.NonFiniteError(f"{kind} produced non-finite output")
+
+
+def surrogate_batch_grads(sp: SurrogateParams, members: list[tuple[FeatureGraph, int]]):
+    """(loss, {name: gradient}) of a batch of (graph, victim label) members:
+    the sum of their cross-entropies and its gradient by each weight of
+    `sp`. A GNN surrogate runs `model.gnn_layers` on the padded batch
+    (model.GraphBatch) and averages each graph's rows by its `pool` row.
+
+    The loss is `cross_entropy_logits`' shifted log-sum-exp over the logits
+    relu(g H0) H1. The backward is written by hand, in the reverse order of
+    the ops a tape would record and with their products, so it gives their
+    bits; the layers' is `model.gnn_backward` with dW_l = (h_l + P h_l)^T
+    dq_l, as the tape's layer op computes it. The values a tape checks are
+    checked under the names of its ops: the weights on entry, each layer's
+    pre-activation, the readout and head products, the shifted logits and
+    the loss sums. The others cannot overflow once these are finite."""
+    w = sp.weights
+    if not all(np.isfinite(a).all() for a in w.values()):
+        raise ad.NonFiniteError("leaf tensor contains non-finite values")
     graphs = [g for g, _ in members]
-    if sp.architecture == "gnn2_mlp":
-        batch = M.batch_graphs(graphs)
-        h = M.encode(batch, tape.constant(batch.features),
-                     [bound["enc.0"], bound["enc.1"]])
-        g = M.readout(h, batch)
-    else:
-        g = tape.constant(_degree_summaries(graphs))
-    logits = M.head_logits(g, [bound["head.0"], bound["head.1"]])
-    loss = cross_entropy_logits(logits, [y for _, y in members])
-    return tape, bound, loss
+    gnn = sp.architecture == "gnn2_mlp"
+    with np.errstate(over="ignore", invalid="ignore"):  # blowups become NonFiniteError
+        if gnn:
+            batch = M.batch_graphs(graphs)
+            p = batch.propagation
+            ws = [w["enc.0"], w["enc.1"]]
+            kept = {}  # gnn_layers' arrays; ("ph", l) holds h_l + P h_l
+            hs, qs = M.gnn_layers(p, batch.features.reshape(p.shape[:2] + (-1,)), ws,
+                                  kept)
+            _check("matmul", *qs)
+            g = batch.pool @ hs[-1].reshape(len(batch.features), -1)
+            _check("matmul", g)
+        else:
+            g = _degree_summaries(graphs)
+        pre = g @ w["head.0"]
+        _check("matmul", pre)
+        mask = pre > 0
+        r = np.where(mask, pre, 0.0)
+        logits = r @ w["head.1"]
+        _check("matmul", logits)
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        _check("sub", shifted)
+        ev = np.exp(shifted)
+        se = ev @ np.ones((2, 1))
+        pick = np.eye(2)[[y for _, y in members]]
+        picked = (shifted * pick).sum()
+        _check("sum", picked)
+        loss = np.log(se).sum() - picked
+        _check("sub", loss)
+
+        dlogits = (-pick) + ev * (1.0 / se)
+        grads = {"head.1": r.T @ dlogits}
+        dpre = (dlogits @ w["head.1"].T) * mask
+        grads["head.0"] = g.T @ dpre
+        if gnn:
+            dh = batch.pool.T @ (dpre @ w["head.0"].T)
+            dqs = M.gnn_backward(p, qs, [a.T for a in ws], dh.reshape(hs[-1].shape),
+                                 stop=1)[0]
+            for l, (a, dq) in enumerate(zip(ws, dqs)):
+                grads[f"enc.{l}"] = (kept["ph", l].reshape(-1, a.shape[0]).T
+                                     @ dq.reshape(-1, a.shape[1]))
+    return loss, grads
 
 
 def distill_surrogate(victim_label_fn, train_graphs: list[FeatureGraph],
@@ -511,8 +562,8 @@ def distill_surrogate(victim_label_fn, train_graphs: list[FeatureGraph],
     for _ in range(epochs):
         minibatch_epoch(sp.weights, optimizer, train_graphs, batch_size, rng,
                         lambda batch: batch_tape(
-                            lambda ms: surrogate_loss_tape(sp, ms),
-                            [(g, labels[g.graph_id]) for g in batch]))
+                            lambda ms: surrogate_batch_grads(sp, ms),
+                            [(g, labels[g.graph_id]) for g in batch])[1])
 
     agree = sum(1 for g, y in zip(train_graphs, SurrogateVictim(sp).labels(train_graphs))
                 if y == labels[g.graph_id])

@@ -1,19 +1,20 @@
 """Joint optimization loop, ablation variants and metrics.
 
 One minibatch loop (`minibatch_epoch`) trains the detector and the attack's
-distilled surrogate: per epoch the graphs are reshuffled, and each batch is
-one tape, over its graphs padded and stacked (`model.GraphBatch`), on which
-each encoder or decoder pass is one op (`model.gnn_layers` forward,
-`model.gnn_backward` backward), and whose scalar is the sum of the
-per-graph losses; the optimizer steps once on its gradient over the batch
-size, the mean. The detector draws each graph's mask
-plan from the permutation's generator, in batch order, before the tape is
-built; its classifier term reads the encoder output on the masked input, the
-pass that feeds the decoder, and validation takes predict's labels.
-When a batch tape goes non-finite, `batch_tape` replays each graph alone
-with what was drawn for it, to name the graph and op. Training stops after
-`early_stop_patience` epochs without a better val F1, or at F1 1.0. Each run
-counts its masked and decoded graphs from its tapes.
+distilled surrogate: per epoch the graphs are reshuffled, each batch, its
+graphs padded and stacked (`model.GraphBatch`), gives the gradient of the
+sum of its per-graph losses, and the optimizer steps once on that gradient
+over the batch size, the mean. For the detector each batch is one tape, on
+which each encoder or decoder pass is one op (`model.gnn_layers` forward,
+`model.gnn_backward` backward); the surrogate's batch is one function with a
+hand-written backward (`attacks.surrogate_batch_grads`). The detector draws
+each graph's mask plan from the permutation's generator, in batch order,
+before the tape is built; its classifier term reads the encoder output on
+the masked input, the pass that feeds the decoder, and validation takes
+predict's labels. When a batch goes non-finite, `batch_tape` replays each
+graph alone with what was drawn for it, to name the graph and op. Training
+stops after `early_stop_patience` epochs without a better val F1, or at F1
+1.0. Each run counts its masked and decoded graphs from its tapes.
 
 The proxy-contrast term is class-balanced: a graph of class c weighs
 N / (k * N_c), for N training graphs over k classes, so each proxy receives
@@ -154,24 +155,23 @@ class Adam:
 
 def minibatch_epoch(arrays: dict[str, np.ndarray], optimizer: Adam,
                     graphs: list[FeatureGraph], batch_size: int,
-                    rng: np.random.Generator, batch_loss) -> None:
+                    rng: np.random.Generator, batch_grads) -> None:
     """One epoch over `graphs` in a fresh permutation drawn from `rng`.
 
-    `batch_loss(batch)` returns (tape, bound, loss): one tape for the whole
-    batch whose scalar `loss` is the sum of its graphs' losses, with `bound`
-    mapping parameter names of `arrays` to their tensors on it. `optimizer`
-    steps once per batch, on the gradient of their mean."""
+    `batch_grads(batch)` returns {name: gradient}: the gradient of the sum
+    of the batch's graph losses by each array of `arrays`. `optimizer` steps
+    once per batch, on the gradient of their mean."""
     order = rng.permutation(len(graphs))
     for start in range(0, len(order), batch_size):
         batch = [graphs[i] for i in order[start:start + batch_size]]
-        tape, bound, loss = batch_loss(batch)
-        grads = ad.backward(tape, loss)
+        grads = batch_grads(batch)
         scale = 1.0 / len(batch)
-        optimizer.step(arrays, {name: grads[t.tid] * scale for name, t in bound.items()})
+        optimizer.step(arrays, {name: g * scale for name, g in grads.items()})
 
 
 def batch_tape(build, members: list):
-    """`build(members)` for members (graph, ...) of one batch. On a
+    """`build(members)` for members (graph, ...) of one batch: the
+    detector's tape, or the surrogate's loss and gradients. On a
     NonFiniteError each member is built again alone, as a batch of one with
     what was drawn for it, and the error of the first that fails is raised
     again naming its graph; the op is named by the error itself."""
@@ -279,7 +279,7 @@ def train(train_graphs: list[FeatureGraph], val_graphs: list[FeatureGraph],
         tic = time.perf_counter()
         sums = {"loss": 0.0, "rec": 0.0, "rec_graphs": 0}
 
-        def batch_loss(batch):
+        def batch_grads(batch):
             members = list(zip(batch, draw_plans(batch, config, rng)))
             tape, bound, joint, rec = batch_tape(
                 lambda ms: detector_loss_tape(ms, params, config, class_weights), members)
@@ -289,11 +289,12 @@ def train(train_graphs: list[FeatureGraph], val_graphs: list[FeatureGraph],
             sums["rec_graphs"] += planned
             counts["mask_samples"] += planned * _reads(tape, bound["mask_token"])
             counts["decoder_passes"] += planned * _reads(tape, bound["decoder.0"])
-            return tape, bound, joint
+            grads = ad.backward(tape, joint)  # after the counts: it clears the records
+            return {name: grads[t.tid] for name, t in bound.items()}
 
         try:
             minibatch_epoch(arrays, optimizer, train_graphs, config.batch_size, rng,
-                            batch_loss)
+                            batch_grads)
         except ad.NonFiniteError as exc:  # the message names the graph
             raise TrainingDiverged(f"epoch {epoch}, {exc}") from exc
         try:

@@ -12,7 +12,9 @@ from graphsentry import attacks as AT
 from graphsentry import autodiff as ad
 from graphsentry import model as M
 from graphsentry import training as T
-from graphsentry.graphdata import FeatureGraph
+from graphsentry.graphdata import (FeatureGraph, FeatureSchema, SyntheticConfig,
+                                   generate_synthetic_dataset)
+from graphsentry.losses import cross_entropy_logits
 
 D = 6
 
@@ -444,19 +446,33 @@ def reference_surrogate_loss(sp, graph, label):
     return float(loss.value), {name: grads[t.tid] for name, t in bound.items()}
 
 
+def tape_grads(tape, bound, loss):
+    """(loss value, {name: gradient}) of a batch tape."""
+    grads = ad.backward(tape, loss)
+    return loss.value, {name: grads[t.tid] for name, t in bound.items()}
+
+
 def assert_batches_match_per_graph_sums(graphs, batch_size, batched, reference):
     """Every batch (the last one short) has the loss and gradients of the
-    sum of its members' own tapes, to 1e-12."""
+    sum of its members' own tapes, to 1e-12. `batched(members)` returns
+    (tape, bound, loss)."""
+    assert_batch_grads_match_per_graph_sums(
+        graphs, batch_size, lambda members: tape_grads(*batched(members)), reference)
+
+
+def assert_batch_grads_match_per_graph_sums(graphs, batch_size, batch_grads, reference):
+    """`assert_batches_match_per_graph_sums` of `batch_grads(members)`,
+    which returns (loss, {name: gradient})."""
     assert len(graphs) % batch_size != 0
     for start in range(0, len(graphs), batch_size):
         members = graphs[start:start + batch_size]
-        tape, bound, loss = batched(members)
-        grads = ad.backward(tape, loss)
+        loss, grads = batch_grads(members)
         singles = [reference(m) for m in members]
-        assert float(loss.value) == pytest.approx(sum(v for v, _ in singles), abs=1e-12)
-        for name, t in bound.items():
+        assert float(loss) == pytest.approx(sum(v for v, _ in singles), abs=1e-12)
+        assert grads.keys() == singles[0][1].keys()
+        for name, got in grads.items():
             want = sum(gs[name] for _, gs in singles)
-            np.testing.assert_allclose(grads[t.tid], want, rtol=0, atol=1e-12, err_msg=name)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=name)
 
 
 @pytest.mark.parametrize("variant", T.VARIANTS)
@@ -484,9 +500,54 @@ def test_surrogate_batch_tape_equals_sum_of_per_graph_tapes(arch):
     graphs = odd_graphs()
     sp = AT._init_surrogate(arch, D, 8, rng_seed=9)
     members = [(g, i % 2) for i, g in enumerate(graphs)]
-    assert_batches_match_per_graph_sums(
-        members, 4, lambda ms: AT.surrogate_loss_tape(sp, ms),
+    assert_batch_grads_match_per_graph_sums(
+        members, 4, lambda ms: AT.surrogate_batch_grads(sp, ms),
         lambda m: reference_surrogate_loss(sp, m[0], m[1]))
+
+
+def surrogate_loss_tape(sp, members):
+    """The surrogate's batch loss as tape ops, one per step: (tape, bound,
+    the sum of the members' cross-entropies). A GNN surrogate runs on the
+    padded batch (model.GraphBatch)."""
+    tape = ad.Tape()
+    bound = {k: tape.param(v) for k, v in sp.weights.items()}
+    graphs = [g for g, _ in members]
+    if sp.architecture == "gnn2_mlp":
+        batch = M.batch_graphs(graphs)
+        h = M.encode(batch, tape.constant(batch.features),
+                     [bound["enc.0"], bound["enc.1"]])
+        g = M.readout(h, batch)
+    else:
+        g = tape.constant(AT._degree_summaries(graphs))
+    logits = M.head_logits(g, [bound["head.0"], bound["head.1"]])
+    loss = cross_entropy_logits(logits, [y for _, y in members])
+    return tape, bound, loss
+
+
+@pytest.mark.parametrize("arch", AT.ARCHITECTURES)
+def test_surrogate_step_gives_the_bits_of_the_tape(arch):
+    """The hand-written surrogate step has the loss and every gradient of
+    the per-op tape, bit for bit: on the odd graphs (a 1-node graph among
+    them), on batches of one, and on 32-graph batches of 8-19-node
+    synthetic graphs at hidden widths 16 and 1."""
+    rng = np.random.default_rng(13)
+    odd = odd_graphs()
+    synthetic = generate_synthetic_dataset(SyntheticConfig(
+        n_graphs=96, benign_node_range=(8, 14), motif_node_count=5,
+        motif_feature_signature="110010101010", malicious_fraction=0.1,
+        background_edge_prob=0.15, rng_seed=5, schema=FeatureSchema(8, 4)))
+    assert {g.node_count for g in synthetic} >= {8, 19}
+    cases = [(odd, 8), (odd[:1], 8), (odd[3:4], 8)]
+    cases += [(synthetic[i:i + 32], hidden) for hidden in (16, 1) for i in (0, 32, 64)]
+    for graphs, hidden in cases:
+        sp = AT._init_surrogate(arch, graphs[0].feature_dim, hidden, rng_seed=len(graphs))
+        members = [(g, int(y)) for g, y in zip(graphs, rng.integers(0, 2, len(graphs)))]
+        loss, grads = AT.surrogate_batch_grads(sp, members)
+        want_loss, want = tape_grads(*surrogate_loss_tape(sp, members))
+        assert np.array_equal(loss, want_loss), (len(graphs), hidden)
+        assert grads.keys() == want.keys() == sp.weights.keys()
+        for name, g in grads.items():
+            assert np.array_equal(g, want[name]), (len(graphs), hidden, name)
 
 
 @pytest.mark.parametrize("arch", AT.ARCHITECTURES)
