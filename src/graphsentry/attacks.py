@@ -470,9 +470,9 @@ def _check(kind: str, *values) -> None:
 
 
 def surrogate_batch_grads(sp: SurrogateParams, members: list[tuple[FeatureGraph, int]]):
-    """(loss, {name: gradient}) of a batch of (graph, victim label) members:
-    the sum of their cross-entropies and its gradient by each weight of
-    `sp`. A GNN surrogate runs `model.gnn_layers` on the padded batch
+    """(loss, {name: gradient}) of a batch of (graph, victim label) members,
+    labels 0 or 1 as `distill_surrogate` checks: the sum of their
+    cross-entropies and its gradient by each weight of `sp`. A GNN surrogate runs `model.gnn_layers` on the padded batch
     (model.GraphBatch) and averages each graph's rows by its `pool` row.
 
     The loss is `cross_entropy_logits`' shifted log-sum-exp over the logits
