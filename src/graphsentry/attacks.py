@@ -17,7 +17,7 @@ Gradients with respect to adjacency are computed by a hand-derived, batched
 reverse pass over the relaxed forward, one batch row per unordered candidate
 pair per integration step (per directed candidate edge for a victim that does
 not symmetrize); no tape runs in the attack, but the layer backward is the
-one the detector's tape runs (`model.gnn_backward`), and the attack adds
+one the detector's training runs (`model.gnn_backward`), and the attack adds
 only what P's dependence on A needs. A row asks for the one entry it
 integrates: `margin_grad_batched(features, a_batch, src, dst)` returns the
 margins f and d[b] = df_b / da_batch[b, src_b, dst_b], so the backward forms
@@ -27,8 +27,9 @@ a chunk reuses the memory of the one before. A victim's labels need no
 gradient: `labels` runs the inference forward over stacks of graphs of one
 node count (`model.graph_embeddings`), and distillation labels its training
 graphs that way. Distillation builds no tape either: each batch is one call
-of `surrogate_batch_grads`, whose hand-written backward gives the bits of
-the same loss written as tape ops.
+of `surrogate_batch_grads`, which runs the detector's training pieces
+(`model.encode`, `model.mlp_logits`, `losses.cross_entropy_logits`) and
+their hand-written backward passes.
 """
 from __future__ import annotations
 
@@ -39,7 +40,8 @@ import numpy as np
 from . import autodiff as ad
 from . import model as M
 from .graphdata import FeatureGraph
-from .training import Adam, batch_tape, minibatch_epoch
+from .losses import cross_entropy_logits
+from .training import Adam, minibatch_epoch, per_graph_on_error
 
 # Rows per margin_grad_batched call. At desk sizes (n <= 19, hidden 32) one
 # (B,n,h) float64 array of a chunk is at most 0.3 MB, so an op's operands fit
@@ -70,7 +72,7 @@ class AttackConfig:
     max_iterations: int = 100
     ig_steps: int = 20
     edges_per_iteration: int = 1
-    rng_seed: int = 0
+    rng_seed: int = 0  # unread here; the benchmark's workloads still set it
 
     def validate(self) -> None:
         if self.max_iterations < 1:
@@ -462,27 +464,17 @@ def _init_surrogate(architecture: str, d: int, hidden: int,
     return SurrogateParams(architecture=architecture, weights=weights)
 
 
-def _check(kind: str, *values) -> None:
-    """Raise the tape's NonFiniteError for an op `kind` whose output is not
-    finite."""
-    if not all(np.isfinite(v).all() for v in values):
-        raise ad.NonFiniteError(f"{kind} produced non-finite output")
-
-
 def surrogate_batch_grads(sp: SurrogateParams, members: list[tuple[FeatureGraph, int]]):
     """(loss, {name: gradient}) of a batch of (graph, victim label) members,
     labels 0 or 1 as `distill_surrogate` checks: the sum of their
-    cross-entropies and its gradient by each weight of `sp`. A GNN surrogate runs `model.gnn_layers` on the padded batch
-    (model.GraphBatch) and averages each graph's rows by its `pool` row.
-
-    The loss is `cross_entropy_logits`' shifted log-sum-exp over the logits
-    relu(g H0) H1. The backward is written by hand, in the reverse order of
-    the ops a tape would record and with their products, so it gives their
-    bits; the layers' is `model.gnn_backward` with dW_l = (h_l + P h_l)^T
-    dq_l, as the tape's layer op computes it. The values a tape checks are
-    checked under the names of its ops: the weights on entry, each layer's
-    pre-activation, the readout and head products, the shifted logits and
-    the loss sums. The others cannot overflow once these are finite."""
+    cross-entropies and its gradient by each weight of `sp`. A GNN
+    surrogate runs `model.encode` on the padded batch (model.GraphBatch) and
+    averages each graph's rows by its `pool` row; the head is
+    `model.mlp_logits` and the loss `losses.cross_entropy_logits`, whose
+    backward passes give the bits of the same loss written as tape ops. The
+    values a tape checks are checked under the names of its ops: the
+    weights on entry, each layer's pre-activation, the readout and head
+    products, the shifted logits and the loss sums."""
     w = sp.weights
     if not all(np.isfinite(a).all() for a in w.values()):
         raise ad.NonFiniteError("leaf tensor contains non-finite values")
@@ -491,43 +483,19 @@ def surrogate_batch_grads(sp: SurrogateParams, members: list[tuple[FeatureGraph,
     with np.errstate(over="ignore", invalid="ignore"):  # blowups become NonFiniteError
         if gnn:
             batch = M.batch_graphs(graphs)
-            p = batch.propagation
-            ws = [w["enc.0"], w["enc.1"]]
-            kept = {}  # gnn_layers' arrays; ("ph", l) holds h_l + P h_l
-            hs, qs = M.gnn_layers(p, batch.features.reshape(p.shape[:2] + (-1,)), ws,
-                                  kept)
-            _check("matmul", *qs)
-            g = batch.pool @ hs[-1].reshape(len(batch.features), -1)
-            _check("matmul", g)
+            h, enc_back = M.encode(batch, batch.features, [w["enc.0"], w["enc.1"]])
+            g = batch.pool @ h
+            ad.check_finite("matmul", g)
         else:
             g = _degree_summaries(graphs)
-        pre = g @ w["head.0"]
-        _check("matmul", pre)
-        mask = pre > 0
-        r = np.where(mask, pre, 0.0)
-        logits = r @ w["head.1"]
-        _check("matmul", logits)
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        _check("sub", shifted)
-        ev = np.exp(shifted)
-        se = ev @ np.ones((2, 1))
-        pick = np.eye(2)[[y for _, y in members]]
-        picked = (shifted * pick).sum()
-        _check("sum", picked)
-        loss = np.log(se).sum() - picked
-        _check("sub", loss)
+        logits, head_back = M.mlp_logits(g, w["head.0"], w["head.1"])
+        loss, ce_back = cross_entropy_logits(logits, [y for _, y in members])
 
-        dlogits = (-pick) + ev * (1.0 / se)
-        grads = {"head.1": r.T @ dlogits}
-        dpre = (dlogits @ w["head.1"].T) * mask
-        grads["head.0"] = g.T @ dpre
+        grads = {}
+        dg, (grads["head.0"], grads["head.1"]) = head_back(ce_back(1.0))
         if gnn:
-            dh = batch.pool.T @ (dpre @ w["head.0"].T)
-            dqs = M.gnn_backward(p, qs, [a.T for a in ws], dh.reshape(hs[-1].shape),
-                                 stop=1)[0]
-            for l, (a, dq) in enumerate(zip(ws, dqs)):
-                grads[f"enc.{l}"] = (kept["ph", l].reshape(-1, a.shape[0]).T
-                                     @ dq.reshape(-1, a.shape[1]))
+            dws, _ = enc_back(batch.pool.T @ dg, input_grad=False)
+            grads.update((f"enc.{l}", dw) for l, dw in enumerate(dws))
     return loss, grads
 
 
@@ -561,7 +529,7 @@ def distill_surrogate(victim_label_fn, train_graphs: list[FeatureGraph],
     rng = np.random.default_rng(rng_seed)
     for _ in range(epochs):
         minibatch_epoch(sp.weights, optimizer, train_graphs, batch_size, rng,
-                        lambda batch: batch_tape(
+                        lambda batch: per_graph_on_error(
                             lambda ms: surrogate_batch_grads(sp, ms),
                             [(g, labels[g.graph_id]) for g in batch])[1])
 

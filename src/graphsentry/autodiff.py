@@ -3,6 +3,10 @@
 Rank is limited to 2 (scalars, vectors, matrices) and there is no
 broadcasting: elementwise ops require identical shapes. Every operation
 validates that its output is finite; NaN/Inf anywhere is an error state.
+
+No pipeline step records a tape: the training steps' hand-written backward
+passes raise NonFiniteError through `check_finite`, under the names of the
+ops a tape would record. The tape is the tests' per-op bit reference.
 """
 from __future__ import annotations
 
@@ -16,6 +20,13 @@ NORM_CLAMP = 1e-12
 
 class NonFiniteError(ArithmeticError):
     """An operation produced NaN or Inf."""
+
+
+def check_finite(kind: str, *values) -> None:
+    """Raise the NonFiniteError a tape op `kind` raises when one of
+    `values`, its outputs, is not finite."""
+    if not all(np.isfinite(v).all() for v in values):
+        raise NonFiniteError(f"{kind} produced non-finite output")
 
 
 class Tensor:
@@ -347,9 +358,9 @@ def tile_rows(v: Tensor, k: int) -> Tensor:
 def edge_aggregate(x: Tensor, p: np.ndarray) -> Tensor:
     """Neighbour sum through a constant (B, m, m) stack of propagation
     matrices, blockwise over the B*m rows of x: block b (rows b*m ..
-    b*m+m-1) is propagated by p[b]. The package's layers do not call it
-    (`model._gnn_forward` is one op); the tests' per-op reference layers
-    do, and the benchmark's tracer names it."""
+    b*m+m-1) is propagated by p[b]. The package's layers do not call it;
+    the tests' per-op reference layers do, and the benchmark's tracer names
+    it."""
     xv = x.value
     if (p.ndim != 3 or p.shape[1] != p.shape[2] or xv.ndim != 2
             or xv.shape[0] != p.shape[0] * p.shape[1]):

@@ -212,7 +212,7 @@ def load_manifest(path) -> dict:
     if not isinstance(manifest, dict) or manifest.get("format") != MANIFEST_FORMAT:
         raise ConfigError(f"{path}: not a run manifest")
     command = manifest.get("command")
-    if command not in MANIFEST_COMMANDS:
+    if not isinstance(command, str) or command not in MANIFEST_COMMANDS:
         raise ConfigError(f"{path}: unknown command {command!r}")
     configured, needs, artifacts, choices = MANIFEST_COMMANDS[command]
     if "config_text" not in manifest:
@@ -538,7 +538,7 @@ def attack_config(values: dict) -> AT.AttackConfig:
         raise ConfigError("distill_learning_rate must be positive")
     try:
         cfg = AT.AttackConfig(**{k: values[k] for k in (
-            "max_iterations", "ig_steps", "edges_per_iteration", "rng_seed")})
+            "max_iterations", "ig_steps", "edges_per_iteration")})
         cfg.validate()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -602,7 +602,7 @@ def cmd_attack(args) -> None:
 
     write_manifest(
         args.out + ".manifest.json", "attack", config_text,
-        seeds={"rng_seed": cfg.rng_seed},
+        seeds={"rng_seed": values["rng_seed"]},
         inputs={"checkpoint": args.checkpoint, "dataset": args.dataset},
         artifacts={"report": args.out},
         timings={"total_seconds": total},

@@ -1,24 +1,16 @@
-"""Training objectives: masked-row reconstruction, proxy contrast, joint sum."""
-from __future__ import annotations
+"""Training objectives in plain numpy: masked-row reconstruction, proxy
+contrast and two-class cross-entropy.
 
-from dataclasses import dataclass
+Each loss returns (value, back), where `back(s)` gives the gradients of s
+times the value by the loss's inputs, with the products and order of the
+same loss written as tape ops, so with their bits. Values that can go
+non-finite from finite inputs are checked under the names of those ops.
+"""
+from __future__ import annotations
 
 import numpy as np
 
 from . import autodiff as ad
-from .model import MaskPlan
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    lambda1: float  # reconstruction strength
-    lambda2: float  # contrastive strength
-
-    def __post_init__(self):
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ValueError("loss weights must be non-negative")
-        if self.lambda1 == 0 and self.lambda2 == 0:
-            raise ValueError("at least one loss weight must be positive")
 
 
 def _labels(y, rows: int) -> np.ndarray:
@@ -31,57 +23,85 @@ def _labels(y, rows: int) -> np.ndarray:
     return labels.astype(np.float64)
 
 
-def reconstruction_loss(x: ad.Tensor, z: ad.Tensor, plan: MaskPlan,
-                        row_weights) -> ad.Tensor:
-    """Sum over masked rows v of w_v (1 - cos(x_v, z_v))^2, each term in [0,4].
-    Training weighs each row by 1/(its graph's masked count), so each graph
-    adds the mean over its masked rows."""
-    if not plan.masked:
+def row_cosine(x: np.ndarray, z: np.ndarray):
+    """Per-row cosine similarity of two (n, d) matrices, norms clamped at
+    NORM_CLAMP; `back(g)` of the (n,) adjoint g gives (dx, dz), and a row
+    whose norm is clamped gets no gradient through its norm."""
+    rx, rz = np.linalg.norm(x, axis=1), np.linalg.norm(z, axis=1)
+    nx, nz = np.maximum(rx, ad.NORM_CLAMP), np.maximum(rz, ad.NORM_CLAMP)
+    c = (x * z).sum(axis=1) / (nx * nz)
+    ad.check_finite("row_cosine", c)
+
+    def back(g):
+        gx = g[:, None] * (z / (nx * nz)[:, None]
+                           - (c / nx**2)[:, None] * x * (rx > ad.NORM_CLAMP)[:, None])
+        gz = g[:, None] * (x / (nx * nz)[:, None]
+                           - (c / nz**2)[:, None] * z * (rz > ad.NORM_CLAMP)[:, None])
+        return gx, gz
+    return c, back
+
+
+def reconstruction_loss(x: np.ndarray, z: np.ndarray, rows, row_weights):
+    """Sum over masked `rows` v of w_v (1 - cos(x_v, z_v))^2, each term in
+    [0, 4]; `back(s)` gives (dx, dz). Training weighs each row by 1/(its
+    graph's masked count), so each graph adds the mean over its masked rows."""
+    if not len(rows):
         raise ValueError("reconstruction loss needs at least one masked node")
-    idx = list(plan.masked)
-    xm = ad.gather_rows(x, idx)
-    zm = ad.gather_rows(z, idx)
-    cos = ad.row_cosine(xm, zm)
-    ones = x.tape.constant(np.ones(len(idx)))
-    return ad.dot(ad.square(ad.sub(ones, cos)), x.tape.constant(row_weights))
+    idx = np.asarray(rows, dtype=np.intp)
+    w = np.asarray(row_weights, dtype=np.float64)
+    cos, cos_back = row_cosine(x[idx], z[idx])
+    a = 1.0 - cos
+
+    def back(s):
+        gx, gz = cos_back(-(2.0 * a * (float(s) * w)))
+        dx, dz = np.zeros_like(x), np.zeros_like(z)
+        dx[idx] += gx
+        dz[idx] += gz
+        return dx, dz
+    return (a * a) @ w, back
 
 
-def contrastive_loss(g: ad.Tensor, y, p0: ad.Tensor, p1: ad.Tensor,
-                     weights=None) -> ad.Tensor:
+def contrastive_loss(g: np.ndarray, y, p0: np.ndarray, p1: np.ndarray, weights=None):
     """Pull each graph embedding toward its class proxy, push from the other.
 
     y=1: cos(g,p0)^2 + (1-cos(g,p1))^2; y=0 swaps the proxy roles. `g` holds
     (B, h) embedding rows with B labels, summed with per-row `weights`
-    (default 1).
+    (default 1). `back(s)` gives (dg, dp0, dp1).
     """
-    count = g.value.shape[0]
+    count = len(g)
     labels = _labels(y, count)
-    tape = g.tape
-    c0 = ad.row_cosine(g, ad.tile_rows(p0, count))
-    c1 = ad.row_cosine(g, ad.tile_rows(p1, count))
+    c0, back0 = row_cosine(g, np.tile(p0, (count, 1)))
+    c1, back1 = row_cosine(g, np.tile(p1, (count, 1)))
     # (y - c1)^2 + (1 - y - c0)^2 is pull + push for either label
-    terms = ad.add(ad.square(ad.sub(tape.constant(labels), c1)),
-                   ad.square(ad.sub(tape.constant(1.0 - labels), c0)))
+    a1, a0 = labels - c1, (1.0 - labels) - c0
     w = np.ones(count) if weights is None else np.asarray(weights, dtype=np.float64)
-    return ad.dot(terms, tape.constant(w))
+
+    def back(s):
+        dterms = float(s) * w
+        dg0, dp0 = back0(-(2.0 * a0 * dterms))
+        dg1, dp1 = back1(-(2.0 * a1 * dterms))
+        return dg1 + dg0, dp0.sum(axis=0), dp1.sum(axis=0)
+    return (a1 * a1 + a0 * a0) @ w, back
 
 
-def joint_loss(l_rec: ad.Tensor, l_cl: ad.Tensor, weights: LossWeights) -> ad.Tensor:
-    return ad.add(ad.scale(l_rec, weights.lambda1), ad.scale(l_cl, weights.lambda2))
-
-
-def cross_entropy_logits(logits: ad.Tensor, y) -> ad.Tensor:
-    """Two-class cross-entropy from raw logits, used by the MLP-head variants:
-    summed over (B, 2) rows with B labels.
+def cross_entropy_logits(logits: np.ndarray, y):
+    """Two-class cross-entropy from raw (B, 2) logits with B labels, summed
+    over the rows; used by the MLP-head variants and the surrogate. `back(s)`
+    gives dlogits.
 
     Computed per row as logsumexp(logits - max) - logit_y with the max
     detached, which keeps exp in range without changing the gradient.
     """
-    count = logits.value.shape[0]
-    labels = _labels(y, count).astype(np.intp)
-    tape = logits.tape
-    shift = tape.constant(np.repeat(logits.value.max(axis=1, keepdims=True), 2, axis=1))
-    shifted = ad.sub(logits, shift)
-    lse = ad.log(ad.matmul(ad.exp(shifted), tape.constant(np.ones((2, 1)))))
-    pick = tape.constant(np.eye(2)[labels])
-    return ad.sub(ad.sum_all(lse), ad.sum_all(ad.mul(shifted, pick)))
+    pick = np.eye(2)[_labels(y, len(logits)).astype(np.intp)]
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    ad.check_finite("sub", shifted)
+    ev = np.exp(shifted)
+    se = ev @ np.ones((2, 1))
+    picked = (shifted * pick).sum()
+    ad.check_finite("sum", picked)
+    loss = np.log(se).sum() - picked
+    ad.check_finite("sub", loss)
+
+    def back(s):
+        return (-s * pick) + ev * (s / se)
+    return loss, back

@@ -9,18 +9,18 @@ propagate through; at 0/1 adjacency it is `propagation_terms`, and
 `edge_propagation` builds the same bits for a stack of graphs straight from
 their edge arrays. The GCN layer stack is written once, in plain numpy
 (`gnn_layers`), and so is its backward (`gnn_backward`). Training runs the
-stack as one tape op per encoder or decoder pass (`_gnn_forward`) over a
-padded minibatch (`GraphBatch`, whose (B, m, m) stack of P comes from one
-`edge_propagation` call), one graph being a batch of one; inference and the
-attack call `gnn_layers` directly, the attack's relaxed backward calls
-`gnn_backward`, and both score embeddings by one head per family
-(`proxy_head`, `logits_head`). Every inference call, for one graph or many,
-runs one path: `graph_stacks` → `gnn_layers` → `classify_rows`. Graphs of
-one node count run as one unpadded (k, n, n) stack, so each graph gets the
-bits it gets alone, and a stack that fails a check names its graph by
-running the graphs alone.
+stack over a padded minibatch (`GraphBatch`, whose (B, m, m) stack of P
+comes from one `edge_propagation` call), one graph being a batch of one:
+`encode` is one encoder or decoder pass with its backward, and `mlp_logits`
+the MLP head with its. Inference and the attack call `gnn_layers` directly,
+the attack's relaxed backward calls `gnn_backward`, and both score
+embeddings by one head per family (`proxy_head`, `logits_head`). Every
+inference call, for one graph or many, runs one path: `graph_stacks` →
+`gnn_layers` → `classify_rows`. Graphs of one node count run as one
+unpadded (k, n, n) stack, so each graph gets the bits it gets alone, and a
+stack that fails a check names its graph by running the graphs alone.
 The module holds no mutable state: a training run counts its own masking
-and decoding from its tapes.
+and decoding.
 """
 from __future__ import annotations
 
@@ -216,29 +216,6 @@ def sample_mask(node_count: int, gamma: float, rng: np.random.Generator) -> Mask
     return MaskPlan(masked=tuple(sorted(int(i) for i in idx)))
 
 
-def apply_mask(features: ad.Tensor, plan: MaskPlan, mask_token: ad.Tensor) -> ad.Tensor:
-    """Replace masked rows with the mask token; gradient reaches the token."""
-    if not plan.masked:
-        return features
-    n = features.value.shape[0]
-    if plan.masked[-1] >= n:
-        raise ValueError(f"mask index {plan.masked[-1]} out of range for {n} nodes")
-    tiled = ad.tile_rows(mask_token, len(plan.masked))
-    return ad.scatter_rows(features, list(plan.masked), tiled)
-
-
-def remask(embeddings: ad.Tensor, plan: MaskPlan) -> ad.Tensor:
-    """Zero the masked rows before decoding. The zero is a constant, so no
-    gradient flows back into the encoder through these rows."""
-    if not plan.masked:
-        return embeddings
-    n, h = embeddings.value.shape
-    if plan.masked[-1] >= n:
-        raise ValueError(f"mask index {plan.masked[-1]} out of range for {n} nodes")
-    zeros = embeddings.tape.constant(np.zeros((len(plan.masked), h)))
-    return ad.scatter_rows(embeddings, list(plan.masked), zeros)
-
-
 def adjacency(graph: FeatureGraph) -> np.ndarray:
     """Directed 0/1 adjacency matrix: entry (s, t) is 1 for each edge (s, t)."""
     a = np.zeros((graph.node_count, graph.node_count))
@@ -361,100 +338,56 @@ def gnn_backward(p: np.ndarray, qs: list[np.ndarray], transposes: list[np.ndarra
     return dqs, dms, dh
 
 
-def _require_batch(batch) -> GraphBatch:
-    if not isinstance(batch, GraphBatch):
-        raise ValueError(f"expected a GraphBatch, got a {type(batch).__name__}")
-    return batch
+def encode(batch: GraphBatch, rows: np.ndarray, weights: list[np.ndarray],
+           final_linear: bool = False):
+    """`gnn_layers` over the B*m node rows of `batch` that `rows` holds: the
+    encoder, or the decoder with `final_linear` (its last layer stays
+    linear, so reconstructions can approach binary targets from both
+    sides). Each layer's pre-activation is checked, as a ReLU can turn an
+    intermediate -inf into 0; call it inside np.errstate.
 
-
-def _gnn_forward(features: ad.Tensor, batch: GraphBatch, weights: list[ad.Tensor],
-                 final_linear: bool) -> ad.Tensor:
-    """`gnn_layers` over a batch's rows as one tape op; the last layer may
-    stay linear. Its backward is `gnn_backward`, with the weights'
-    transposed views, and dW_l = (h_l + P h_l)^T dq_l, products that give
-    the bits of the layers written as primitive ops. Each layer's
-    pre-activation is checked, as a ReLU can turn an intermediate -inf
-    into 0."""
-    p = _require_batch(batch).propagation
-    count, m, _ = p.shape
-    xv = features.value
-    if xv.ndim != 2 or xv.shape[0] != count * m:
-        raise ValueError(f"{xv.shape} feature rows for a batch of {count} x {m} nodes")
-    ws = [w.value for w in weights]
+    Returns (out, back): the (B*m, width) output rows and back(d_out,
+    input_grad=True) -> ([dW_l], d_rows or None). The backward is
+    `gnn_backward` with the weights' transposed views, and dW_l =
+    (h_l + P h_l)^T dq_l, the products of the layers as tape ops."""
+    p = batch.propagation
     kept = {}  # gnn_layers' arrays; ("ph", l) holds h_l + P h_l
-    with np.errstate(over="ignore", invalid="ignore"):  # blowups become NonFiniteError
-        hs, qs = gnn_layers(p, xv.reshape(count, m, -1), ws, kept)
-    if not all(np.isfinite(q).all() for q in qs):
-        raise ad.NonFiniteError("matmul produced non-finite output")
+    hs, qs = gnn_layers(p, rows.reshape(p.shape[:2] + (-1,)), weights, kept)
+    ad.check_finite("matmul", *qs)
     out = qs[-1] if final_linear else hs[-1]
-    stop = 0 if features.requires_grad else 1  # a constant input needs no dx
 
-    def backward(g):
-        dqs, _, dx = gnn_backward(p, qs, [w.T for w in ws], g.reshape(out.shape),
-                                  final_linear, stop)
-        grads = [(w.tid, kept["ph", l].reshape(-1, w.shape[0]).T
-                  @ dq.reshape(-1, w.shape[1]))
-                 for l, (w, dq) in enumerate(zip(weights, dqs))]
-        if stop == 0:
-            grads.append((features.tid, dx.reshape(xv.shape)))
-        return grads
-
-    return features.tape.emit("gnn_layers", (features, *weights),
-                              out.reshape(count * m, -1), backward)
-
-
-def encode(batch: GraphBatch, features: ad.Tensor,
-           encoder_weights: list[ad.Tensor]) -> ad.Tensor:
-    """L propagation layers with ReLU over the B*m node rows of `batch` that
-    `features` holds; isolated nodes keep only their self term."""
-    return _gnn_forward(features, batch, encoder_weights, final_linear=False)
-
-
-def decode(batch: GraphBatch, remasked: ad.Tensor,
-           decoder_weights: list[ad.Tensor]) -> ad.Tensor:
-    """Same propagation rule; the final layer is linear so reconstructions can
-    approach binary targets from both sides."""
-    return _gnn_forward(remasked, batch, decoder_weights, final_linear=True)
-
-
-def readout(node_embeddings: ad.Tensor, batch: GraphBatch) -> ad.Tensor:
-    """Mean pooling over nodes: (B, h) rows, one per graph of `batch`, whose
-    padding rows get weight 0."""
-    pool = _require_batch(batch).pool
-    return ad.matmul(node_embeddings.tape.constant(pool), node_embeddings)
+    def back(d_out, input_grad=True):
+        dqs, _, d_rows = gnn_backward(p, qs, [w.T for w in weights],
+                                      d_out.reshape(out.shape), final_linear,
+                                      stop=0 if input_grad else 1)
+        dws = [kept["ph", l].reshape(-1, w.shape[0]).T @ dq.reshape(-1, w.shape[1])
+               for l, (w, dq) in enumerate(zip(weights, dqs))]
+        return dws, d_rows.reshape(rows.shape) if input_grad else None
+    return out.reshape(len(rows), -1), back
 
 
 def bind_params(tape: ad.Tape, params: ModelParams) -> dict[str, ad.Tensor]:
     """Place every parameter array on a tape as a trainable leaf, keyed by its
-    stable name."""
+    stable name. No pipeline step calls it; the benchmark's tracer names it."""
     return {name: tape.param(arr) for name, arr in params.named_arrays().items()}
 
 
-def _layer_tensors(bound: dict[str, ad.Tensor], prefix: str) -> list[ad.Tensor]:
-    """Layers `prefix.0`, `prefix.1`, ... in index order (not string order,
-    which would put layer 10 before layer 2)."""
-    layers = []
-    while f"{prefix}.{len(layers)}" in bound:
-        layers.append(bound[f"{prefix}.{len(layers)}"])
-    return layers
+def mlp_logits(g: np.ndarray, w0: np.ndarray, w1: np.ndarray):
+    """The 2-logit MLP head of the non-contrastive variants and the
+    surrogate: (B, 2) logits relu(g W0) W1 of (B, h) embedding rows, each
+    product checked. Returns (logits, back): back(dlogits) -> (dg, [dW0,
+    dW1]), with the products of the head written as tape ops."""
+    pre = g @ w0
+    ad.check_finite("matmul", pre)
+    mask = pre > 0
+    r = np.where(mask, pre, 0.0)
+    logits = r @ w1
+    ad.check_finite("matmul", logits)
 
-
-def encoder_tensors(bound: dict[str, ad.Tensor]) -> list[ad.Tensor]:
-    return _layer_tensors(bound, "encoder")
-
-
-def decoder_tensors(bound: dict[str, ad.Tensor]) -> list[ad.Tensor]:
-    return _layer_tensors(bound, "decoder")
-
-
-def head_tensors(bound: dict[str, ad.Tensor]) -> list[ad.Tensor]:
-    return _layer_tensors(bound, "head")
-
-
-def head_logits(g: ad.Tensor, head_weights: list[ad.Tensor]) -> ad.Tensor:
-    """2-logit MLP head used by the non-contrastive variants: (B, 2) logits of
-    (B, h) embedding rows."""
-    return ad.matmul(ad.relu(ad.matmul(g, head_weights[0])), head_weights[1])
+    def back(dlogits):
+        dpre = (dlogits @ w1.T) * mask
+        return dpre @ w0.T, [g.T @ dpre, r.T @ dlogits]
+    return logits, back
 
 
 def graph_stacks(graphs: list[FeatureGraph]):

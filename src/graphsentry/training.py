@@ -4,17 +4,19 @@ One minibatch loop (`minibatch_epoch`) trains the detector and the attack's
 distilled surrogate: per epoch the graphs are reshuffled, each batch, its
 graphs padded and stacked (`model.GraphBatch`), gives the gradient of the
 sum of its per-graph losses, and the optimizer steps once on that gradient
-over the batch size, the mean. For the detector each batch is one tape, on
-which each encoder or decoder pass is one op (`model.gnn_layers` forward,
-`model.gnn_backward` backward); the surrogate's batch is one function with a
-hand-written backward (`attacks.surrogate_batch_grads`). The detector draws
-each graph's mask plan from the permutation's generator, in batch order,
-before the tape is built; its classifier term reads the encoder output on
-the masked input, the pass that feeds the decoder, and validation takes
-predict's labels. When a batch goes non-finite, `batch_tape` replays each
-graph alone with what was drawn for it, to name the graph and op. Training
-stops after `early_stop_patience` epochs without a better val F1, or at F1
-1.0. Each run counts its masked and decoded graphs from its tapes.
+over the batch size, the mean. Each model's batch is one function with a
+hand-written backward: `detector_batch_grads` here, and
+`attacks.surrogate_batch_grads` for the surrogate, both built from
+`model.encode` (an encoder or decoder pass, `model.gnn_layers` forward and
+`model.gnn_backward` backward), `model.mlp_logits` and the losses of
+`losses`. The detector draws each graph's mask plan from the permutation's
+generator, in batch order, before the batch runs; its classifier term reads
+the encoder output on the masked input, the pass that feeds the decoder,
+and validation takes predict's labels. When a batch goes non-finite,
+`per_graph_on_error` runs each graph alone with what was drawn for it, to
+name the graph and op. Training stops after `early_stop_patience` epochs
+without a better val F1, or at F1 1.0. Each run counts its masked and
+decoded graphs: a batch masks and decodes each graph it has a plan for.
 
 The proxy-contrast term is class-balanced: a graph of class c weighs
 N / (k * N_c), for N training graphs over k classes, so each proxy receives
@@ -34,8 +36,7 @@ import numpy as np
 from . import autodiff as ad
 from . import model as M
 from .graphdata import FeatureGraph
-from .losses import (LossWeights, contrastive_loss, cross_entropy_logits,
-                     joint_loss, reconstruction_loss)
+from .losses import contrastive_loss, cross_entropy_logits, reconstruction_loss
 
 VARIANTS = ("full", "minus_c", "minus_r", "minus_cr")
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # moment decays, denominator guard
@@ -86,10 +87,6 @@ class TrainConfig:
     @property
     def uses_proxies(self) -> bool:
         return self.variant in ("full", "minus_r")
-
-    def effective_weights(self) -> LossWeights:
-        lam1 = self.lambda1 if self.uses_masking else 0.0
-        return LossWeights(lam1, self.lambda2)
 
 
 @dataclass(frozen=True)
@@ -169,9 +166,8 @@ def minibatch_epoch(arrays: dict[str, np.ndarray], optimizer: Adam,
         optimizer.step(arrays, {name: g * scale for name, g in grads.items()})
 
 
-def batch_tape(build, members: list):
-    """`build(members)` for members (graph, ...) of one batch: the
-    detector's tape, or the surrogate's loss and gradients. On a
+def per_graph_on_error(build, members: list):
+    """`build(members)` for the members (graph, ...) of one batch. On a
     NonFiniteError each member is built again alone, as a batch of one with
     what was drawn for it, and the error of the first that fails is raised
     again naming its graph; the op is named by the error itself."""
@@ -185,11 +181,6 @@ def batch_tape(build, members: list):
                 raise ad.NonFiniteError(f"graph {member[0].graph_id}: {alone}") from exc
         ids = ", ".join(member[0].graph_id for member in members)
         raise ad.NonFiniteError(f"batch of graphs {ids}: {exc}") from exc
-
-
-def _reads(tape: ad.Tape, tensor: ad.Tensor) -> bool:
-    """Whether a recorded op of `tape` takes `tensor` as an input."""
-    return any(tensor.tid in rec.input_ids for rec in tape.records)
 
 
 def proxy_class_weights(graphs: list[FeatureGraph]) -> dict[int, float]:
@@ -207,44 +198,75 @@ def draw_plans(graphs: list[FeatureGraph], config: TrainConfig,
             for g in graphs]
 
 
-def detector_loss_tape(members: list[tuple[FeatureGraph, M.MaskPlan | None]],
-                    params: M.ModelParams, config: TrainConfig,
-                    class_weights: dict[int, float]):
-    """One tape over a padded batch of (graph, mask plan) members.
+def detector_batch_grads(members: list[tuple[FeatureGraph, M.MaskPlan | None]],
+                         params: M.ModelParams, config: TrainConfig,
+                         class_weights: dict[int, float]):
+    """(joint, rec, {name: gradient}) of a padded batch of (graph, mask
+    plan) members: the sum of their joint losses lambda1 * rec + lambda2 *
+    contrast (cross-entropy for the MLP-head variants), the sum of their
+    reconstruction losses (0 when no member is masked), and the gradient of
+    `joint` by each parameter, zeros where it reads none.
 
-    Returns (tape, bound, joint, rec): `joint` is the sum of the members'
-    joint losses and `rec` the sum of their reconstruction losses (a
-    constant 0 when no member is masked). Encoder and decoder share the
-    batch's one propagation stack."""
+    The backward runs in the reverse order of the ops a tape would record,
+    with their products, so it gives their bits; the values a tape checks
+    are checked under its op names, in forward order."""
+    arrays = params.named_arrays()
+    if not all(np.isfinite(a).all() for a in arrays.values()):
+        raise ad.NonFiniteError("leaf tensor contains non-finite values")
     graphs = [g for g, _ in members]
+    labels = [g.label for g in graphs]
     batch = M.batch_graphs(graphs)
-    tape = ad.Tape()
-    bound = M.bind_params(tape, params)
-    x = tape.constant(batch.features)
-
+    x = batch.features
     masked, row_weights = [], []
     for b, (_, plan) in enumerate(members):
         if plan is not None:
             masked += batch.rows(b, plan.masked)
             row_weights += [1.0 / len(plan.masked)] * len(plan.masked)
-    plan = M.MaskPlan(tuple(masked))
-    h = M.encode(batch, M.apply_mask(x, plan, bound["mask_token"]),
-                 M.encoder_tensors(bound))
-    g = M.readout(h, batch)
+    grads = {name: None for name in arrays}
+    with np.errstate(over="ignore", invalid="ignore"):  # blowups become NonFiniteError
+        xin = x
+        if masked:  # masked rows read the mask token
+            xin = x.copy()
+            xin[masked] = params.mask_token
+        h, enc_back = M.encode(batch, xin, params.encoder_weights)
+        g = batch.pool @ h
+        ad.check_finite("matmul", g)
+        if config.uses_proxies:
+            cl, cl_back = contrastive_loss(g, labels, params.proxy_benign,
+                                           params.proxy_malicious,
+                                           [class_weights[y] for y in labels])
+        else:
+            logits, head_back = M.mlp_logits(g, *params.head_weights)
+            cl, ce_back = cross_entropy_logits(logits, labels)
+        rec = 0.0
+        if masked:  # the decoder reads the masked rows as zeros
+            remasked = h.copy()
+            remasked[masked] = 0.0
+            z, dec_back = M.encode(batch, remasked, params.decoder_weights,
+                                   final_linear=True)
+            rec, rec_back = reconstruction_loss(x, z, masked, row_weights)
+        lam1, lam2 = float(config.lambda1), float(config.lambda2)
+        parts = rec * lam1, cl * lam2
+        ad.check_finite("scale", *parts)
+        joint = parts[0] + parts[1]
+        ad.check_finite("add", joint)
 
-    labels = [graph.label for graph in graphs]
-    if config.uses_proxies:
-        cl = contrastive_loss(g, labels, bound["proxy_benign"], bound["proxy_malicious"],
-                              [class_weights[y] for y in labels])
-    else:
-        cl = cross_entropy_logits(M.head_logits(g, M.head_tensors(bound)), labels)
-
-    if masked:
-        z = M.decode(batch, M.remask(h, plan), M.decoder_tensors(bound))
-        rec = reconstruction_loss(x, z, plan, row_weights)
-    else:
-        rec = tape.constant(0.0)
-    return tape, bound, joint_loss(rec, cl, config.effective_weights()), rec
+        if config.uses_proxies:
+            dg, grads["proxy_benign"], grads["proxy_malicious"] = cl_back(lam2)
+        else:
+            dg, (grads["head.0"], grads["head.1"]) = head_back(ce_back(lam2))
+        dh = batch.pool.T @ dg
+        if masked:
+            dws, dh_dec = dec_back(rec_back(lam1)[1])
+            dh_dec[masked] = 0.0
+            dh = dh_dec + dh
+            grads.update((f"decoder.{l}", dw) for l, dw in enumerate(dws))
+        dws, dx = enc_back(dh, input_grad=bool(masked))
+        grads.update((f"encoder.{l}", dw) for l, dw in enumerate(dws))
+        if masked:
+            grads["mask_token"] = dx[masked].sum(axis=0)
+    return joint, rec, {name: np.zeros_like(arrays[name]) if grad is None else grad
+                        for name, grad in grads.items()}
 
 
 def train(train_graphs: list[FeatureGraph], val_graphs: list[FeatureGraph],
@@ -281,16 +303,15 @@ def train(train_graphs: list[FeatureGraph], val_graphs: list[FeatureGraph],
 
         def batch_grads(batch):
             members = list(zip(batch, draw_plans(batch, config, rng)))
-            tape, bound, joint, rec = batch_tape(
-                lambda ms: detector_loss_tape(ms, params, config, class_weights), members)
+            joint, rec, grads = per_graph_on_error(
+                lambda ms: detector_batch_grads(ms, params, config, class_weights), members)
             planned = sum(plan is not None for _, plan in members)
-            sums["loss"] += float(joint.value)
-            sums["rec"] += float(rec.value)
+            sums["loss"] += float(joint)
+            sums["rec"] += float(rec)
             sums["rec_graphs"] += planned
-            counts["mask_samples"] += planned * _reads(tape, bound["mask_token"])
-            counts["decoder_passes"] += planned * _reads(tape, bound["decoder.0"])
-            grads = ad.backward(tape, joint)  # after the counts: it clears the records
-            return {name: grads[t.tid] for name, t in bound.items()}
+            counts["mask_samples"] += planned
+            counts["decoder_passes"] += planned
+            return grads
 
         try:
             minibatch_epoch(arrays, optimizer, train_graphs, config.batch_size, rng,

@@ -31,7 +31,6 @@ import conftest
 from fd_check import finite_difference_check
 
 import graphsentry.attacks as AT
-import graphsentry.autodiff as ad
 import graphsentry.cli as cli
 import graphsentry.losses as L
 import graphsentry.model as M
@@ -60,6 +59,7 @@ def random_graph(rng, n, d, edge_prob=0.3, label=0):
 
 def test_criterion_01_joint_loss_gradients_match_finite_differences():
     d, hidden = 6, 8
+    config = T.TrainConfig(hidden=hidden, layers=2)  # lambda1 = lambda2 = 1
     worst = 0.0
     tic = time.perf_counter()
     for i in range(20):
@@ -79,21 +79,9 @@ def test_criterion_01_joint_loss_gradients_match_finite_differences():
                 mask_token=point[names.index("mask_token")],
                 proxy_benign=point[names.index("proxy_benign")],
                 proxy_malicious=point[names.index("proxy_malicious")])
-            tape = ad.Tape()
-            bound = M.bind_params(tape, p)
-            batch = M.batch_graphs([graph])
-            x = tape.constant(graph.features.copy())
-            xm = M.apply_mask(x, plan, bound["mask_token"])
-            h = M.encode(batch, xm, M.encoder_tensors(bound))
-            g = M.readout(h, batch)
-            l_cl = L.contrastive_loss(g, [graph.label], bound["proxy_benign"],
-                                      bound["proxy_malicious"])
-            z = M.decode(batch, M.remask(h, plan), M.decoder_tensors(bound))
-            k = len(plan.masked)
-            l_rec = L.reconstruction_loss(x, z, plan, np.full(k, 1.0 / k))
-            joint = L.joint_loss(l_rec, l_cl, L.LossWeights(1.0, 1.0))
-            grads = ad.backward(tape, joint)
-            return joint.value, [grads[bound[name].tid] for name in names]
+            joint, _, grads = T.detector_batch_grads([(graph, plan)], p, config,
+                                                     {0: 1.0, 1: 1.0})
+            return joint, [grads[name] for name in names]
 
         point = list(params.named_arrays().values())
         rep = finite_difference_check(f, point, tolerance=1e-4)
@@ -136,17 +124,15 @@ def test_criterion_02_sparse_matches_dense_oracle():
         n = int(rng.integers(1, 17))
         graph = random_graph(rng, n, d)
         params = M.init_params(d, hidden=hidden, layers=2, rng_seed=i)
-        tape = ad.Tape()
-        bound = {name: tape.constant(arr) for name, arr in params.named_arrays().items()}
         batch = M.batch_graphs([graph])
         x = graph.features.copy()
-        enc = M.encode(batch, tape.constant(x), M.encoder_tensors(bound))
+        enc = M.encode(batch, x, params.encoder_weights)[0]
         want = dense_propagation(graph, params.encoder_weights, False, x)
-        worst = max(worst, float(np.abs(enc.value - want).max()))
+        worst = max(worst, float(np.abs(enc - want).max()))
         hin = rng.normal(size=(n, hidden))
-        dec = M.decode(batch, tape.constant(hin), M.decoder_tensors(bound))
+        dec = M.encode(batch, hin, params.decoder_weights, final_linear=True)[0]
         want = dense_propagation(graph, params.decoder_weights, True, hin)
-        worst = max(worst, float(np.abs(dec.value - want).max()))
+        worst = max(worst, float(np.abs(dec - want).max()))
     ok = worst <= 1e-10
     report_line(2, "dense-oracle-equivalence", ok,
                 f"100 graphs encode+decode, worst abs diff {worst:.2e}")
@@ -156,19 +142,15 @@ def test_criterion_02_sparse_matches_dense_oracle():
 # ------------------------------------------------------------------ criterion 3
 
 def test_criterion_03_loss_trivial_values_exact():
-    tape = ad.Tape()
-
     def rec(x_rows, z_rows, masked):
-        x = tape.constant(np.array(x_rows, dtype=np.float64))
-        z = tape.constant(np.array(z_rows, dtype=np.float64))
         weights = np.full(len(masked), 1.0 / len(masked))
-        return L.reconstruction_loss(x, z, M.MaskPlan(masked), weights).value
+        return L.reconstruction_loss(np.array(x_rows, dtype=np.float64),
+                                     np.array(z_rows, dtype=np.float64), masked, weights)[0]
 
     def cl(g, y, p0, p1):
-        return L.contrastive_loss(
-            tape.constant(np.array([g], dtype=np.float64)), [y],
-            tape.constant(np.array(p0, dtype=np.float64)),
-            tape.constant(np.array(p1, dtype=np.float64))).value
+        return L.contrastive_loss(np.array([g], dtype=np.float64), [y],
+                                  np.array(p0, dtype=np.float64),
+                                  np.array(p1, dtype=np.float64))[0]
 
     rec_vals = (rec([[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]], (0, 1)),
                 rec([[1.0, 0.0]], [[0.0, 1.0]], (0,)),

@@ -8,6 +8,7 @@ fine trapezoid quadrature oracle for the path-integrated scores.
 import numpy as np
 import pytest
 
+import tape_reference as R
 from graphsentry import attacks as AT
 from graphsentry import autodiff as ad
 from graphsentry import model as M
@@ -128,8 +129,8 @@ def test_surrogate_gnn_margin_matches_tape_forward():
     enc = [tape.constant(sp.weights["enc.0"]), tape.constant(sp.weights["enc.1"])]
     head = [tape.constant(sp.weights["head.0"]), tape.constant(sp.weights["head.1"])]
     batch = M.batch_graphs([g])
-    logits = M.head_logits(M.readout(M.encode(batch, tape.constant(g.features), enc),
-                                     batch), head)
+    logits = R.head_logits(R.readout(R.layer_op(tape.constant(g.features), batch, enc,
+                                                False), batch), head)
     assert f[0] == pytest.approx(float(logits.value[0, 0] - logits.value[0, 1]),
                                  abs=1e-12)
 

@@ -196,6 +196,18 @@ def test_manifest_with_non_null_config_text_raises_config_error(files, tmp_path,
         cli.replay_manifest(path, str(tmp_path / "replay"))
 
 
+@pytest.mark.parametrize("command", [[], {}])
+def test_manifest_with_unhashable_command_raises_config_error(files, tmp_path, command):
+    """load_manifest once looked a list or object command up in its table of
+    commands and raised TypeError."""
+    manifest = json.loads("".join(files["manifest"]))
+    manifest["command"] = command
+    path = str(tmp_path / "command.manifest.json")
+    write(path, json.dumps(manifest))
+    with pytest.raises(cli.ConfigError, match="unknown command"):
+        cli.replay_manifest(path, str(tmp_path / "replay"))
+
+
 @pytest.mark.parametrize("kind", sorted(CONFIGS))
 @settings(max_examples=150, deadline=None)
 @given(mutations=st.lists(mutation(CONFIG_POOL), min_size=1, max_size=3))

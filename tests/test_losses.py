@@ -4,26 +4,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fd_check import finite_difference_check
-from graphsentry import autodiff as ad
 from graphsentry import losses as L
-from graphsentry.model import MaskPlan
+from graphsentry import model as M
+from graphsentry import training as T
+from graphsentry.graphdata import FeatureGraph
 
 
 def rec_value(x, z, masked):
     """The loss of one graph: the mean over its masked rows."""
-    tape = ad.Tape()
-    out = L.reconstruction_loss(tape.constant(x), tape.constant(z),
-                                MaskPlan(tuple(masked)),
-                                np.full(len(masked), 1.0 / len(masked)))
-    return float(out.value)
+    return float(L.reconstruction_loss(x, z, masked, np.full(len(masked), 1.0 / len(masked)))[0])
 
 
 def cl_value(g, y, p0, p1):
     """The loss of one (h,) embedding `g` with label `y`, as a batch of one."""
-    tape = ad.Tape()
-    out = L.contrastive_loss(tape.constant(g[None]), [y], tape.constant(p0),
-                             tape.constant(p1))
-    return float(out.value)
+    return float(L.contrastive_loss(g[None], [y], p0, p1)[0])
 
 
 # ------------------------------------------------------------------ frozen values
@@ -51,10 +45,9 @@ def test_reconstruction_uses_only_masked_rows():
 
 
 def test_reconstruction_rejects_empty_plan():
-    tape = ad.Tape()
-    x = tape.constant(np.ones((2, 2)))
+    x = np.ones((2, 2))
     with pytest.raises(ValueError):
-        L.reconstruction_loss(x, x, MaskPlan(()), np.zeros(0))
+        L.reconstruction_loss(x, x, [], np.zeros(0))
 
 
 def test_contrastive_perfect_malicious_placement_is_zero():
@@ -76,35 +69,33 @@ def test_contrastive_perfect_benign_placement_is_zero():
 
 
 def test_joint_loss_weighted_sum():
-    tape = ad.Tape()
-    rec, cl = tape.constant(0.5), tape.constant(0.25)
-    out = L.joint_loss(rec, cl, L.LossWeights(1.0, 1.0))
-    assert float(out.value) == pytest.approx(0.75, abs=1e-12)
-    only_cl = L.joint_loss(rec, cl, L.LossWeights(0.0, 2.0))
-    assert float(only_cl.value) == pytest.approx(0.5, abs=1e-12)
-    only_rec = L.joint_loss(rec, cl, L.LossWeights(3.0, 0.0))
-    assert float(only_rec.value) == pytest.approx(1.5, abs=1e-12)
+    """The detector's batch loss is lambda1 * rec + lambda2 * contrast."""
+    rng = np.random.default_rng(0)
+    graph = FeatureGraph(4, [(0, 1), (1, 2), (2, 3)], rng.integers(0, 2, size=(4, 3)), 1, "g")
+    params = M.init_params(3, 4, 1, rng_seed=0)
+    members = [(graph, M.MaskPlan((1, 3)))]
 
+    def joint_and_rec(lambda1, lambda2):
+        cfg = T.TrainConfig(hidden=4, layers=1, lambda1=lambda1, lambda2=lambda2)
+        return T.detector_batch_grads(members, params, cfg, {0: 1.0, 1: 1.0})[:2]
 
-def test_loss_weights_reject_both_zero_and_negative():
-    with pytest.raises(ValueError):
-        L.LossWeights(0.0, 0.0)
-    with pytest.raises(ValueError):
-        L.LossWeights(-1.0, 1.0)
+    joint, rec = joint_and_rec(1.0, 1.0)
+    cl = joint - rec
+    assert rec > 0 and cl > 0
+    assert joint_and_rec(0.0, 2.0)[0] == pytest.approx(2.0 * cl, abs=1e-12)
+    assert joint_and_rec(3.0, 0.0)[0] == pytest.approx(3.0 * rec, abs=1e-12)
 
 
 def test_cross_entropy_matches_log_softmax():
     logits = np.array([2.0, -1.0])
-    tape = ad.Tape()
-    out = L.cross_entropy_logits(tape.constant(logits[None]), [0])
+    out = L.cross_entropy_logits(logits[None], [0])[0]
     expect = -np.log(np.exp(logits[0]) / np.exp(logits).sum())
-    assert float(out.value) == pytest.approx(expect, abs=1e-12)
+    assert float(out) == pytest.approx(expect, abs=1e-12)
 
 
 def test_cross_entropy_survives_large_logits():
-    tape = ad.Tape()
-    out = L.cross_entropy_logits(tape.constant(np.array([[800.0, 0.0]])), [1])
-    assert float(out.value) == pytest.approx(800.0, rel=1e-12)
+    out = L.cross_entropy_logits(np.array([[800.0, 0.0]]), [1])[0]
+    assert float(out) == pytest.approx(800.0, rel=1e-12)
 
 
 # ------------------------------------------------------------------ properties
@@ -150,11 +141,8 @@ def test_reconstruction_terms_bounded():
 
 def test_reconstruction_gradients_pass_fd():
     def f(arrays):
-        tape = ad.Tape()
-        x, z = tape.param(arrays[0]), tape.param(arrays[1])
-        out = L.reconstruction_loss(x, z, MaskPlan((0, 2)), np.full(2, 0.5))
-        grads = ad.backward(tape, out)
-        return float(out.value), [grads[x.tid], grads[z.tid]]
+        value, back = L.reconstruction_loss(arrays[0], arrays[1], [0, 2], np.full(2, 0.5))
+        return float(value), list(back(1.0))
     rng = np.random.default_rng(2)
     rep = finite_difference_check(f, [rng.normal(size=(3, 4)), rng.normal(size=(3, 4))],
                                   tolerance=1e-4)
@@ -164,11 +152,8 @@ def test_reconstruction_gradients_pass_fd():
 @pytest.mark.parametrize("y", [0, 1])
 def test_contrastive_gradients_pass_fd(y):
     def f(arrays):
-        tape = ad.Tape()
-        g, p0, p1 = (tape.param(a) for a in arrays)
-        out = L.contrastive_loss(g, [y], p0, p1)
-        grads = ad.backward(tape, out)
-        return float(out.value), [grads[t.tid] for t in (g, p0, p1)]
+        value, back = L.contrastive_loss(arrays[0], [y], arrays[1], arrays[2])
+        return float(value), list(back(1.0))
     rng = np.random.default_rng(3 + y)
     g, p0, p1 = (rng.normal(size=6) for _ in range(3))
     rep = finite_difference_check(f, [g[None], p0, p1], tolerance=1e-4)
@@ -178,10 +163,7 @@ def test_contrastive_gradients_pass_fd(y):
 @pytest.mark.parametrize("y", [0, 1])
 def test_cross_entropy_gradient_is_softmax_minus_onehot(y):
     logits = np.array([0.7, -1.3])
-    tape = ad.Tape()
-    t = tape.param(logits[None])
-    out = L.cross_entropy_logits(t, [y])
-    grads = ad.backward(tape, out)
+    _, back = L.cross_entropy_logits(logits[None], [y])
     soft = np.exp(logits) / np.exp(logits).sum()
     onehot = np.eye(2)[y]
-    np.testing.assert_allclose(grads[t.tid], [soft - onehot], atol=1e-12)
+    np.testing.assert_allclose(back(1.0), [soft - onehot], atol=1e-12)

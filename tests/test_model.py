@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tape_reference as R
 from graphsentry import autodiff as ad
 from graphsentry import model as M
+from graphsentry import training as T
 from graphsentry.graphdata import FeatureGraph, FeatureSchema
 
 SCHEMA = FeatureSchema(opcode_dim=2, permission_dim=2)
@@ -41,15 +43,11 @@ def dense_oracle(graph, features, weights, final_linear):
 
 def run_encode(graph, features, weight_arrays):
     """`M.encode` of `features` on `graph` as a batch of one."""
-    tape = ad.Tape()
-    ws = [tape.constant(w) for w in weight_arrays]
-    return M.encode(M.batch_graphs([graph]), tape.constant(features), ws).value
+    return M.encode(M.batch_graphs([graph]), features, weight_arrays)[0]
 
 
 def run_decode(graph, rows, weight_arrays):
-    tape = ad.Tape()
-    ws = [tape.constant(w) for w in weight_arrays]
-    return M.decode(M.batch_graphs([graph]), tape.constant(rows), ws).value
+    return M.encode(M.batch_graphs([graph]), rows, weight_arrays, final_linear=True)[0]
 
 
 # ------------------------------------------------------------------ init
@@ -114,7 +112,7 @@ def test_apply_mask_replaces_only_planned_rows():
     tape = ad.Tape()
     x = tape.constant(np.arange(12.0).reshape(3, 4))
     tok = tape.constant(np.full(4, 9.0))
-    out = M.apply_mask(x, M.MaskPlan((1,)), tok)
+    out = R.apply_mask(x, M.MaskPlan((1,)), tok)
     np.testing.assert_array_equal(out.value[1], np.full(4, 9.0))
     np.testing.assert_array_equal(out.value[0], x.value[0])
     np.testing.assert_array_equal(out.value[2], x.value[2])
@@ -123,7 +121,7 @@ def test_apply_mask_replaces_only_planned_rows():
 def test_apply_mask_empty_plan_is_identity():
     tape = ad.Tape()
     x = tape.constant(np.ones((3, 4)))
-    out = M.apply_mask(x, M.MaskPlan(()), tape.constant(np.zeros(4)))
+    out = R.apply_mask(x, M.MaskPlan(()), tape.constant(np.zeros(4)))
     assert out is x
 
 
@@ -131,7 +129,7 @@ def test_mask_token_gradient_counts_masked_rows():
     tape = ad.Tape()
     x = tape.constant(np.zeros((5, 3)))
     tok = tape.param(np.array([0.1, 0.2, 0.3]))
-    out = ad.sum_all(M.apply_mask(x, M.MaskPlan((0, 2, 4)), tok))
+    out = ad.sum_all(R.apply_mask(x, M.MaskPlan((0, 2, 4)), tok))
     grads = ad.backward(tape, out)
     np.testing.assert_array_equal(grads[tok.tid], np.full(3, 3.0))
 
@@ -144,7 +142,7 @@ def test_masking_locality_masked_row_content_is_irrelevant():
     x2[1] = -99.0
     for x in (x1, x2):
         tape = ad.Tape()
-        out = M.apply_mask(tape.constant(x), plan, tape.constant(tok))
+        out = R.apply_mask(tape.constant(x), plan, tape.constant(tok))
         if x is x1:
             first = out.value
     np.testing.assert_array_equal(first, out.value)
@@ -153,7 +151,7 @@ def test_masking_locality_masked_row_content_is_irrelevant():
 def test_remask_zeroes_rows_and_blocks_gradient():
     tape = ad.Tape()
     emb = tape.param(np.ones((3, 2)))
-    out = M.remask(emb, M.MaskPlan((0, 2)))
+    out = R.remask(emb, M.MaskPlan((0, 2)))
     np.testing.assert_array_equal(out.value, [[0, 0], [1, 1], [0, 0]])
     grads = ad.backward(tape, ad.sum_all(out))
     np.testing.assert_array_equal(grads[emb.tid], [[0, 0], [1, 1], [0, 0]])
@@ -195,24 +193,6 @@ def test_decode_zero_rows_stay_zero():
     w = np.random.default_rng(1).normal(size=(2, 2))
     out = run_decode(g, np.zeros((3, 2)), [w, w])
     np.testing.assert_array_equal(out, np.zeros((3, 2)))
-
-
-def test_encode_decode_readout_and_head_take_batch_rows_only():
-    g = make_graph(3, [(0, 1)])
-    batch = M.batch_graphs([g])
-    tape = ad.Tape()
-    x = tape.constant(g.features)
-    w = [tape.constant(np.eye(4))]
-    for one in (g, M.propagation_terms(g)):
-        for call in (lambda: M.encode(one, x, w), lambda: M.decode(one, x, w),
-                     lambda: M.readout(x, one)):
-            with pytest.raises(ValueError, match="GraphBatch"):
-                call()
-    vector = tape.constant(np.ones(4))
-    for call in (lambda: M.encode(batch, vector, w), lambda: M.readout(vector, batch),
-                 lambda: M.head_logits(vector, w + w)):
-        with pytest.raises(ValueError):
-            call()
 
 
 @st.composite
@@ -296,10 +276,9 @@ def test_encode_is_permutation_equivariant(case):
 # ------------------------------------------------------------------ readout/predict
 
 def test_readout_is_row_mean():
-    tape = ad.Tape()
-    out = M.readout(tape.constant(np.array([[1.0, 3.0], [3.0, 1.0]])),
-                    M.batch_graphs([make_graph(2, [])]))
-    np.testing.assert_array_equal(out.value, [[2.0, 2.0]])
+    batch = M.batch_graphs([make_graph(2, [])])
+    out = batch.pool @ np.array([[1.0, 3.0], [3.0, 1.0]])
+    np.testing.assert_array_equal(out, [[2.0, 2.0]])
 
 
 def test_predict_tie_goes_malicious():
@@ -336,36 +315,34 @@ def test_predict_equals_forward_after_empty_mask_plan():
     p = M.init_params(SCHEMA, 8, 2, rng_seed=4)
     g = make_graph(4, [(0, 1), (1, 2), (2, 3)], seed=7)
     tape = ad.Tape()
-    bound = {name: tape.constant(arr) for name, arr in p.named_arrays().items()}
-    x = M.apply_mask(tape.constant(g.features), M.MaskPlan(()),
-                     bound["mask_token"])
-    rows = M.encode(M.batch_graphs([g]), x, M.encoder_tensors(bound)).value
+    x = R.apply_mask(tape.constant(g.features), M.MaskPlan(()),
+                     tape.constant(p.mask_token))
+    rows = M.encode(M.batch_graphs([g]), x.value, p.encoder_weights)[0]
     hs, _ = M.gnn_layers(M.propagation_terms(g), g.features, p.encoder_weights)
-    # the rows predict pools; the tape pools by a matrix product, which may
+    # the rows predict pools; training pools by a matrix product, which may
     # round differently from predict's mean
     np.testing.assert_array_equal(rows, hs[-1])
 
 
 @pytest.mark.parametrize("layers", [11, 12])
 def test_deep_models_run_layers_in_index_order(layers):
+    """Layer 10 runs after layer 9, not after layer 1 as the names' string
+    order would put it, and each layer's gradient is named by its index."""
     p = M.init_params(SCHEMA, 8, layers, rng_seed=layers)
     g = make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)], seed=1)
-    tape = ad.Tape()
-    bound = {name: tape.constant(arr) for name, arr in p.named_arrays().items()}
-    enc = M.encoder_tensors(bound)
-    dec = M.decoder_tensors(bound)
-    for tensors, arrays in ((enc, p.encoder_weights), (dec, p.decoder_weights)):
-        assert len(tensors) == layers
-        assert all(np.array_equal(t.value, w) for t, w in zip(tensors, arrays))
     want = dense_oracle(g, g.features, p.encoder_weights, final_linear=False)
     np.testing.assert_allclose(M.graph_embedding(g, p.encoder_weights),
                                want.mean(axis=0), atol=1e-12)
     batch = M.batch_graphs([g])
-    h = M.encode(batch, tape.constant(g.features), enc)
-    z = M.decode(batch, h, dec)
+    h = M.encode(batch, g.features, p.encoder_weights)[0]
+    z = M.encode(batch, h, p.decoder_weights, final_linear=True)[0]
     np.testing.assert_allclose(
-        z.value, dense_oracle(g, want, p.decoder_weights, final_linear=True),
-        atol=1e-12)
+        z, dense_oracle(g, want, p.decoder_weights, final_linear=True), atol=1e-12)
+    members, cfg = [(g, M.MaskPlan((1, 3)))], T.TrainConfig(hidden=8, layers=layers)
+    grads = T.detector_batch_grads(members, p, cfg, {0: 1.0})[2]
+    want = R.detector_loss_tape(members, p, cfg, {0: 1.0})[2]
+    for name in p.named_arrays():
+        assert np.array_equal(grads[name], want[name]), name
 
 
 def test_predict_rejects_empty_graph():

@@ -1,5 +1,6 @@
 """Training-loop tests: optimizer oracle, early-stop semantics, determinism,
-variant wiring, and the padded minibatch tape against per-graph tapes."""
+variant wiring, and the padded minibatch steps against per-graph tapes and
+against the same batch as tape ops (tape_reference)."""
 import subprocess
 import sys
 import textwrap
@@ -8,13 +9,13 @@ import warnings
 import numpy as np
 import pytest
 
+import tape_reference as R
 from graphsentry import attacks as AT
 from graphsentry import autodiff as ad
 from graphsentry import model as M
 from graphsentry import training as T
 from graphsentry.graphdata import (FeatureGraph, FeatureSchema, SyntheticConfig,
                                    generate_synthetic_dataset)
-from graphsentry.losses import cross_entropy_logits
 
 D = 6
 
@@ -119,7 +120,8 @@ def test_adam_moves_toward_lower_loss():
 def test_config_rejects_bad_fields():
     # the last two leave a zero objective; minus_cr does not use lambda1
     for bad in (dict(gamma=1.0), dict(learning_rate=0.0), dict(early_stop_patience=0),
-                dict(variant="nope"), dict(batch_size=0), dict(lambda1=0.0, lambda2=0.0),
+                dict(variant="nope"), dict(batch_size=0), dict(lambda1=-1.0),
+                dict(lambda2=-1.0), dict(lambda1=0.0, lambda2=0.0),
                 dict(variant="minus_cr", lambda2=0.0)):
         with pytest.raises(ValueError):
             small_config(**bad).validate()
@@ -341,17 +343,20 @@ def per_op_layers(h, p, weights, final_linear):
 @pytest.mark.parametrize("final_linear", [False, True])
 @pytest.mark.parametrize("input_grad", [False, True])
 def test_layer_op_gives_the_bits_of_per_op_layers(layers, final_linear, input_grad):
-    """The one-op layer stack has the forward rows and the gradients of the
-    input and of every weight of the per-op layers, bit for bit, on padded
-    odd graphs, with the hidden width apart from the feature width; a
-    linear last layer maps back to the feature width, as the decoder's
-    does. At hidden width 32 a product by a contiguous transpose of layer
-    0's (6, 32) weight gives other bits than one by its transposed view.
+    """`model.encode` has the forward rows of the per-op layers and, through
+    its `back`, the gradients of the input and of every weight, bit for bit,
+    on padded odd graphs, with the hidden width apart from the feature
+    width; a linear last layer maps back to the feature width, as the
+    decoder's does. With the input's gradient the rows are masked first, as
+    training masks them, and the token and the unmasked rows get their
+    parts of it. At hidden width 32 a product by a contiguous transpose of
+    layer 0's (6, 32) weight gives other bits than one by its transposed
+    view.
 
-    The op multiplies by W_l one graph's m rows at a time, where the per-op
-    layers made one product over all B*m rows. OpenBLAS gives both the same
-    bits at these widths, but not at an output width of 1-3 after an input
-    width of 16 or more."""
+    `encode` multiplies by W_l one graph's m rows at a time, where the
+    per-op layers make one product over all B*m rows. OpenBLAS gives both
+    the same bits at these widths, but not at an output width of 1-3 after
+    an input width of 16 or more."""
     batch = M.batch_graphs(odd_graphs())
     rng = np.random.default_rng(layers)
     widths = [D] + [32] * (layers - 1) + [D if final_linear else 32]
@@ -360,25 +365,30 @@ def test_layer_op_gives_the_bits_of_per_op_layers(layers, final_linear, input_gr
     plan = M.MaskPlan(tuple(batch.rows(1, [0, 2]) + batch.rows(4, [1])))
     token = rng.normal(size=D)
 
-    def run(layer_stack):
-        tape = ad.Tape()
-        ws = [tape.param(w) for w in weights]
-        if input_grad:
-            x = tape.param(batch.features)
-            leaves = [x, tape.param(token)] + ws
-            xin = M.apply_mask(x, plan, leaves[1])
-        else:
-            leaves = ws
-            xin = tape.constant(batch.features)
-        out = layer_stack(xin, ws)
-        grads = ad.backward(tape, ad.sum_all(ad.mul(out, tape.constant(coeffs))))
-        return out.value, [grads[t.tid] for t in leaves]
+    tape = ad.Tape()
+    ws = [tape.param(w) for w in weights]
+    if input_grad:
+        x = tape.param(batch.features)
+        leaves = [x, tape.param(token)] + ws
+        xin = R.apply_mask(x, plan, leaves[1])
+    else:
+        leaves = ws
+        xin = tape.constant(batch.features)
+    out = per_op_layers(xin, batch.propagation, ws, final_linear)
+    grads = ad.backward(tape, ad.sum_all(ad.mul(out, tape.constant(coeffs))))
+    want = [grads[t.tid] for t in leaves]
 
-    p = batch.propagation
-    want_rows, want = run(lambda xin, ws: per_op_layers(xin, p, ws, final_linear))
-    encode_or_decode = M.decode if final_linear else M.encode
-    rows, got = run(lambda xin, ws: encode_or_decode(batch, xin, ws))
-    assert np.array_equal(rows, want_rows)
+    rows, back = M.encode(batch, xin.value, weights, final_linear)
+    dws, dx = back(coeffs, input_grad)
+    got = dws
+    if input_grad:
+        masked = list(plan.masked)
+        token_grad = dx[masked].sum(axis=0)
+        dx[masked] = 0.0
+        got = [dx, token_grad] + dws
+    else:
+        assert dx is None
+    assert np.array_equal(rows, out.value)
     assert len(got) == len(want) == layers + 2 * input_grad
     for i, (g, w) in enumerate(zip(got, want)):
         assert np.array_equal(g, w), i
@@ -398,8 +408,8 @@ def reference_detector_loss(graph, plan, params, config, class_weights):
     bound = M.bind_params(tape, params)
     p = M.propagation_terms(graph)
     x = tape.constant(graph.features)
-    xin = M.apply_mask(x, plan, bound["mask_token"]) if plan else x
-    h = reference_layers(xin, p, M.encoder_tensors(bound), final_linear=False)
+    xin = R.apply_mask(x, plan, bound["mask_token"]) if plan else x
+    h = reference_layers(xin, p, R.layer_tensors(bound, "encoder"), final_linear=False)
     g = ad.mean_rows(h)
     if config.uses_proxies:
         own, other = ((bound["proxy_malicious"], bound["proxy_benign"]) if graph.label
@@ -408,17 +418,17 @@ def reference_detector_loss(graph, plan, params, config, class_weights):
         cl = ad.scale(ad.add(ad.square(ad.cosine(g, other)), pull),
                       class_weights[graph.label])
     else:
-        cl = reference_cross_entropy(reference_head(g, M.head_tensors(bound)), graph.label)
+        cl = reference_cross_entropy(reference_head(g, R.layer_tensors(bound, "head")),
+                                     graph.label)
     if plan:
-        z = reference_layers(M.remask(h, plan), p, M.decoder_tensors(bound),
+        z = reference_layers(R.remask(h, plan), p, R.layer_tensors(bound, "decoder"),
                              final_linear=True)
         idx = list(plan.masked)
         cos = ad.row_cosine(ad.gather_rows(x, idx), ad.gather_rows(z, idx))
         rec = ad.mean_all(ad.square(ad.sub(tape.constant(np.ones(len(idx))), cos)))
     else:
         rec = tape.constant(0.0)
-    lam = config.effective_weights()
-    joint = ad.add(ad.scale(rec, lam.lambda1), ad.scale(cl, lam.lambda2))
+    joint = ad.add(ad.scale(rec, config.lambda1), ad.scale(cl, config.lambda2))
     grads = ad.backward(tape, joint)
     return float(joint.value), {name: grads[t.tid] for name, t in bound.items()}
 
@@ -446,23 +456,10 @@ def reference_surrogate_loss(sp, graph, label):
     return float(loss.value), {name: grads[t.tid] for name, t in bound.items()}
 
 
-def tape_grads(tape, bound, loss):
-    """(loss value, {name: gradient}) of a batch tape."""
-    grads = ad.backward(tape, loss)
-    return loss.value, {name: grads[t.tid] for name, t in bound.items()}
-
-
-def assert_batches_match_per_graph_sums(graphs, batch_size, batched, reference):
-    """Every batch (the last one short) has the loss and gradients of the
-    sum of its members' own tapes, to 1e-12. `batched(members)` returns
-    (tape, bound, loss)."""
-    assert_batch_grads_match_per_graph_sums(
-        graphs, batch_size, lambda members: tape_grads(*batched(members)), reference)
-
-
 def assert_batch_grads_match_per_graph_sums(graphs, batch_size, batch_grads, reference):
-    """`assert_batches_match_per_graph_sums` of `batch_grads(members)`,
-    which returns (loss, {name: gradient})."""
+    """Every batch (the last one short) has the loss and gradients of the
+    sum of its members' own tapes, to 1e-12. `batch_grads(members)` and
+    `reference(member)` return (loss, {name: gradient})."""
     assert len(graphs) % batch_size != 0
     for start in range(0, len(graphs), batch_size):
         members = graphs[start:start + batch_size]
@@ -489,9 +486,9 @@ def test_batch_tape_equals_sum_of_per_graph_tapes(variant):
     members = list(zip(graphs, T.draw_plans(graphs, cfg, np.random.default_rng(8))))
     assert members[0][1] is None  # the 1-node graph is never masked
     assert any(plan is not None for _, plan in members) == cfg.uses_masking
-    assert_batches_match_per_graph_sums(
+    assert_batch_grads_match_per_graph_sums(
         members, 4,
-        lambda ms: T.detector_loss_tape(ms, params, cfg, weights)[:3],
+        lambda ms: T.detector_batch_grads(ms, params, cfg, weights)[::2],
         lambda m: reference_detector_loss(m[0], m[1], params, cfg, weights))
 
 
@@ -505,23 +502,46 @@ def test_surrogate_batch_tape_equals_sum_of_per_graph_tapes(arch):
         lambda m: reference_surrogate_loss(sp, m[0], m[1]))
 
 
-def surrogate_loss_tape(sp, members):
-    """The surrogate's batch loss as tape ops, one per step: (tape, bound,
-    the sum of the members' cross-entropies). A GNN surrogate runs on the
-    padded batch (model.GraphBatch)."""
-    tape = ad.Tape()
-    bound = {k: tape.param(v) for k, v in sp.weights.items()}
-    graphs = [g for g, _ in members]
-    if sp.architecture == "gnn2_mlp":
-        batch = M.batch_graphs(graphs)
-        h = M.encode(batch, tape.constant(batch.features),
-                     [bound["enc.0"], bound["enc.1"]])
-        g = M.readout(h, batch)
-    else:
-        g = tape.constant(AT._degree_summaries(graphs))
-    logits = M.head_logits(g, [bound["head.0"], bound["head.1"]])
-    loss = cross_entropy_logits(logits, [y for _, y in members])
-    return tape, bound, loss
+def desk_graphs():
+    """96 synthetic graphs of 8-19 nodes, as the desk data makes them."""
+    graphs = generate_synthetic_dataset(SyntheticConfig(
+        n_graphs=96, benign_node_range=(8, 14), motif_node_count=5,
+        motif_feature_signature="110010101010", malicious_fraction=0.1,
+        background_edge_prob=0.15, rng_seed=5, schema=FeatureSchema(8, 4)))
+    assert {g.node_count for g in graphs} >= {8, 19}
+    return graphs
+
+
+@pytest.mark.parametrize("variant", T.VARIANTS)
+def test_detector_step_gives_the_bits_of_the_tape(variant):
+    """The hand-written detector step has the joint loss, the reconstruction
+    loss and every gradient of the per-op tape, bit for bit, at each lambda
+    pair: on the odd graphs (a 1-node graph among them), on batches of one,
+    and on 32-graph batches of 8-19-node synthetic graphs at hidden widths 32
+    and 1 with 1-3 layers. Each graph is masked as training draws it."""
+    odd = odd_graphs()
+    synthetic = desk_graphs()
+    cases = [(odd, 8, 2), (odd[:1], 8, 1), (odd[3:4], 32, 3)]
+    cases += [(synthetic[32 * (i % 3):32 * (i % 3) + 32], hidden, layers)
+              for i, (hidden, layers) in enumerate((h, l) for h in (32, 1) for l in (1, 2, 3))]
+    for i, (graphs, hidden, layers) in enumerate(cases):
+        d = graphs[0].feature_dim
+        for lambda1, lambda2 in ((1.0, 1.0), (0.7, 1.3), (1.0, 0.0), (0.0, 1.0)):
+            cfg = small_config(variant=variant, hidden=hidden, layers=layers,
+                               lambda1=lambda1, lambda2=lambda2)
+            params = M.init_params(d, hidden, layers, rng_seed=i)
+            if not cfg.uses_proxies:
+                M.init_head(params, i + 1)
+            weights = T.proxy_class_weights(graphs)
+            members = list(zip(graphs, T.draw_plans(graphs, cfg, np.random.default_rng(i))))
+            joint, rec, grads = T.detector_batch_grads(members, params, cfg, weights)
+            want_joint, want_rec, want = R.detector_loss_tape(members, params, cfg, weights)
+            case = (len(graphs), hidden, layers, lambda1, lambda2)
+            assert np.array_equal(joint, want_joint), case
+            assert np.array_equal(rec, want_rec), case
+            assert grads.keys() == want.keys() == params.named_arrays().keys()
+            for name, g in grads.items():
+                assert np.array_equal(g, want[name]), (case, name)
 
 
 @pytest.mark.parametrize("arch", AT.ARCHITECTURES)
@@ -532,18 +552,14 @@ def test_surrogate_step_gives_the_bits_of_the_tape(arch):
     synthetic graphs at hidden widths 16 and 1."""
     rng = np.random.default_rng(13)
     odd = odd_graphs()
-    synthetic = generate_synthetic_dataset(SyntheticConfig(
-        n_graphs=96, benign_node_range=(8, 14), motif_node_count=5,
-        motif_feature_signature="110010101010", malicious_fraction=0.1,
-        background_edge_prob=0.15, rng_seed=5, schema=FeatureSchema(8, 4)))
-    assert {g.node_count for g in synthetic} >= {8, 19}
+    synthetic = desk_graphs()
     cases = [(odd, 8), (odd[:1], 8), (odd[3:4], 8)]
     cases += [(synthetic[i:i + 32], hidden) for hidden in (16, 1) for i in (0, 32, 64)]
     for graphs, hidden in cases:
         sp = AT._init_surrogate(arch, graphs[0].feature_dim, hidden, rng_seed=len(graphs))
         members = [(g, int(y)) for g, y in zip(graphs, rng.integers(0, 2, len(graphs)))]
         loss, grads = AT.surrogate_batch_grads(sp, members)
-        want_loss, want = tape_grads(*surrogate_loss_tape(sp, members))
+        want_loss, want = R.surrogate_loss_tape(sp, members)
         assert np.array_equal(loss, want_loss), (len(graphs), hidden)
         assert grads.keys() == want.keys() == sp.weights.keys()
         for name, g in grads.items():
