@@ -129,26 +129,24 @@ class AttackSummary:
 def _margin_grad_gnn(gnn_weights: list[np.ndarray], transposes: list[np.ndarray],
                      head, x: np.ndarray, a_batch: np.ndarray, src: np.ndarray,
                      dst: np.ndarray, buffers: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Batched margin f = s0 - s1 of a GNN + readout + score `head` (see
+    """Batched margin f = s0 - s1 of a GNN + mean readout + score `head` (see
     `model.proxy_head`) and d[b] = df_b / dA_b[src_b, dst_b]. `transposes`
     holds each layer weight's transpose as a contiguous array, which numpy
     multiplies by faster than a transposed view.
 
-    The layer adjoints come from `model.gnn_backward`. d reads only rows and
-    columns src and dst of dP = sum_l dm_l h_l^T, so each layer adds (B, 2, n)
-    products: dp_rows[b, i] = dP[v] and dp_cols[b, i] = dP[:, v] for
-    v = (src_b, dst_b)[i]. Layer 0's dm_0 h_0^T is dq_0 (x W_0)^T, so its dm
-    is never formed. The pass's (B, n, .) arrays are written into `buffers`
-    (see `model.scratch`)."""
+    The adjoints come from `model.readout` and `model.gnn_backward`. d
+    reads only rows and columns src and dst of dP = sum_l dm_l h_l^T, so
+    each layer adds (B, 2, n) products: dp_rows[b, i] = dP[v] and
+    dp_cols[b, i] = dP[:, v] for v = (src_b, dst_b)[i]. Layer 0's dm_0 h_0^T
+    is dq_0 (x W_0)^T, so its dm is never formed. The pass's (B, n, .)
+    arrays are written into `buffers` (see `model.scratch`)."""
     B, n, _ = a_batch.shape
     s, deg, live, r, p, at = M.relaxed_propagation(a_batch, buffers)
     hs, qs = M.gnn_layers(p, x, gnn_weights, buffers)
-    g = hs[-1].mean(axis=1)
+    g, read_back = M.readout(hs[-1], n)
 
     s0, s1, dg = head(g, grad=True)
-    dqs, dms, _ = M.gnn_backward(p, qs, transposes,
-                                 np.broadcast_to(dg[:, None, :] / n, hs[-1].shape),
-                                 stop=1, buffers=buffers)
+    dqs, dms, _ = M.gnn_backward(p, qs, transposes, read_back(dg), stop=1, buffers=buffers)
 
     b = np.arange(B)
     row, ends = b[:, None], np.stack([src, dst], axis=1)
@@ -469,11 +467,11 @@ def surrogate_batch_grads(sp: SurrogateParams, members: list[tuple[FeatureGraph,
     labels 0 or 1 as `distill_surrogate` checks: the sum of their
     cross-entropies and its gradient by each weight of `sp`. A GNN
     surrogate runs `model.encode` on the padded batch (model.GraphBatch) and
-    averages each graph's rows by its `pool` row; the head is
+    takes each graph's mean row by `model.readout`; the head is
     `model.mlp_logits` and the loss `losses.cross_entropy_logits`, whose
     backward passes give the bits of the same loss written as tape ops. The
     values a tape checks are checked under the names of its ops: the
-    weights on entry, each layer's pre-activation, the readout and head
+    weights on entry, each layer's pre-activation, the readout, the head
     products, the shifted logits and the loss sums."""
     w = sp.weights
     if not all(np.isfinite(a).all() for a in w.values()):
@@ -484,8 +482,8 @@ def surrogate_batch_grads(sp: SurrogateParams, members: list[tuple[FeatureGraph,
         if gnn:
             batch = M.batch_graphs(graphs)
             h, enc_back = M.encode(batch, batch.features, [w["enc.0"], w["enc.1"]])
-            g = batch.pool @ h
-            ad.check_finite("matmul", g)
+            g, read_back = M.readout(h.reshape(len(graphs), batch.width, -1), batch.sizes)
+            ad.check_finite("readout", g)
         else:
             g = _degree_summaries(graphs)
         logits, head_back = M.mlp_logits(g, w["head.0"], w["head.1"])
@@ -494,7 +492,7 @@ def surrogate_batch_grads(sp: SurrogateParams, members: list[tuple[FeatureGraph,
         grads = {}
         dg, (grads["head.0"], grads["head.1"]) = head_back(ce_back(1.0))
         if gnn:
-            dws, _ = enc_back(batch.pool.T @ dg, input_grad=False)
+            dws, _ = enc_back(read_back(dg), input_grad=False)
             grads.update((f"enc.{l}", dw) for l, dw in enumerate(dws))
     return loss, grads
 
@@ -510,8 +508,11 @@ def distill_surrogate(victim_label_fn, train_graphs: list[FeatureGraph],
     """
     if not train_graphs:
         raise ValueError("distillation needs at least one graph")
-    if epochs < 1:
-        raise ValueError("epochs must be at least 1")
+    for name, value in (("epochs", epochs), ("hidden", hidden), ("batch_size", batch_size)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1")
+    if not (np.isfinite(learning_rate) and learning_rate > 0):
+        raise ValueError("learning_rate must be finite and positive")
     owner = getattr(victim_label_fn, "__self__", None)
     if (type(owner) in (DetectorVictim, SurrogateVictim)
             and victim_label_fn == owner.label):  # labelled by stacks, not one by one

@@ -14,13 +14,13 @@ comes from one `edge_propagation` call), one graph being a batch of one:
 `encode` is one encoder or decoder pass with its backward, and `mlp_logits`
 the MLP head with its. Inference and the attack call `gnn_layers` directly,
 the attack's relaxed backward calls `gnn_backward`, and both score
-embeddings by one head per family (`proxy_head`, `logits_head`). Every
-inference call, for one graph or many, runs one path: `graph_stacks` →
-`gnn_layers` → `classify_rows`. Graphs of one node count run as one
-unpadded (k, n, n) stack, so each graph gets the bits it gets alone, and a
-stack that fails a check names its graph by running the graphs alone.
-The module holds no mutable state: a training run counts its own masking
-and decoding.
+embeddings by one head per family (`proxy_head`, `logits_head`). Training,
+inference and the attack take one mean readout (`readout`). Every inference
+call, for one graph or many, runs one path: `graph_stacks` → `gnn_layers`
+→ `readout` → `classify_rows`. Graphs of one node count run as one unpadded
+(k, n, n) stack, so each graph gets the bits it gets alone, and a stack
+that fails a check names its graph by running the graphs alone. The module
+holds no mutable state: a training run counts its own masking and decoding.
 """
 from __future__ import annotations
 
@@ -138,7 +138,7 @@ class GraphBatch:
     width: int                # m, the largest node count of the batch
     propagation: np.ndarray   # (B, m, m): P of each graph, zero-padded
     features: np.ndarray      # (B*m, d): feature rows, zero rows for padding
-    pool: np.ndarray          # (B, B*m): row b averages graph b's node rows
+    sizes: np.ndarray         # (B,): n_b, the node count of graph b
 
     def rows(self, b: int, nodes) -> list[int]:
         """Row indices of graph b's nodes `nodes`."""
@@ -160,10 +160,7 @@ def batch_graphs(graphs: list[FeatureGraph]) -> GraphBatch:
     real = np.arange(m) < sizes[:, None]  # (B, m): the rows that hold a node
     x = np.zeros((count, m, graphs[0].feature_dim))
     x[real] = np.concatenate([g.features for g in graphs])
-    pool = np.zeros((count, count, m))
-    pool[np.arange(count), np.arange(count)] = real / sizes[:, None]
-    return GraphBatch(m, edge_propagation(graphs, m)[0], x.reshape(count * m, -1),
-                      pool.reshape(count, count * m))
+    return GraphBatch(m, edge_propagation(graphs, m)[0], x.reshape(count * m, -1), sizes)
 
 
 def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -366,6 +363,19 @@ def encode(batch: GraphBatch, rows: np.ndarray, weights: list[np.ndarray],
     return out.reshape(len(rows), -1), back
 
 
+def readout(h: np.ndarray, n):
+    """The mean readout of a (B, m, w) stack of node rows: the (B, w) rows
+    h.sum(axis=1) / n, n the node count of an unpadded stack (np.mean's bits)
+    or the (B,) node counts of a padded one, whose padding rows are zero.
+    Where w > 1 the rows are added in order, so a graph's row has the bits
+    of its own rows' mean; at w = 1 numpy adds them pairwise and padding can
+    move the last bit. Returns (g, back): back(dg) is dg / n broadcast to
+    all (B, m, w) rows; a padding row's pre-activation is 0, so a ReLU stops
+    it there."""
+    n = n if np.isscalar(n) else n[:, None]
+    return h.sum(axis=1) / n, lambda dg: np.broadcast_to((dg / n)[:, None], h.shape)
+
+
 def bind_params(tape: ad.Tape, params: ModelParams) -> dict[str, ad.Tensor]:
     """Place every parameter array on a tape as a trainable leaf, keyed by its
     stable name. No pipeline step calls it; the benchmark's tracer names it."""
@@ -424,7 +434,7 @@ def graph_embeddings(graphs: list[FeatureGraph], weights: list[np.ndarray]) -> n
     for indices, p, _, x in graph_stacks(graphs):
         with np.errstate(over="ignore", invalid="ignore"):
             hs, qs = gnn_layers(p, x, weights)
-            g = hs[-1].sum(axis=1) / p.shape[1]  # np.mean's bits, less overhead
+            g = readout(hs[-1], p.shape[1])[0]
             sq_norm = float(np.vdot(g, g))  # when finite, so is every row's norm
         bad = [l for l, q in enumerate(qs) if not np.isfinite(q).all()]
         if bad or not math.isfinite(sq_norm):

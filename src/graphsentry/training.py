@@ -229,8 +229,8 @@ def detector_batch_grads(members: list[tuple[FeatureGraph, M.MaskPlan | None]],
             xin = x.copy()
             xin[masked] = params.mask_token
         h, enc_back = M.encode(batch, xin, params.encoder_weights)
-        g = batch.pool @ h
-        ad.check_finite("matmul", g)
+        g, read_back = M.readout(h.reshape(len(graphs), batch.width, -1), batch.sizes)
+        ad.check_finite("readout", g)
         if config.uses_proxies:
             cl, cl_back = contrastive_loss(g, labels, params.proxy_benign,
                                            params.proxy_malicious,
@@ -255,11 +255,11 @@ def detector_batch_grads(members: list[tuple[FeatureGraph, M.MaskPlan | None]],
             dg, grads["proxy_benign"], grads["proxy_malicious"] = cl_back(lam2)
         else:
             dg, (grads["head.0"], grads["head.1"]) = head_back(ce_back(lam2))
-        dh = batch.pool.T @ dg
+        dh = read_back(dg)
         if masked:
             dws, dh_dec = dec_back(rec_back(lam1)[1])
             dh_dec[masked] = 0.0
-            dh = dh_dec + dh
+            dh = dh_dec.reshape(dh.shape) + dh
             grads.update((f"decoder.{l}", dw) for l, dw in enumerate(dws))
         dws, dx = enc_back(dh, input_grad=bool(masked))
         grads.update((f"encoder.{l}", dw) for l, dw in enumerate(dws))

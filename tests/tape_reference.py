@@ -4,13 +4,14 @@ hand-written steps (`training.detector_batch_grads`,
 does not collect it.
 
 This is the tape the package trained on before its steps were written by
-hand: each encoder or decoder pass is one op (`layer_op`, forward
-`model.gnn_layers`, backward `model.gnn_backward`), which
-test_layer_op_gives_the_bits_of_per_op_layers checks against layers of one
-op per step, and masking, readout, head and losses are primitive ops. The
-per-op layers are no reference for every batch: at hidden width 1 after an
-input width of 12, on a 32-graph batch of desk graphs, they give the first
-weight another gradient.
+hand, with the readout the package now has: each encoder or decoder pass is
+one op (`layer_op`, forward `model.gnn_layers`, backward
+`model.gnn_backward`), which test_layer_op_gives_the_bits_of_per_op_layers
+checks against layers of one op per step; the readout is one op, a mean
+per graph written apart from `model.readout`; masking, head and losses are
+primitive ops. The per-op layers are no reference for every batch: at
+hidden width 1 after an input width of 12, on a 32-graph batch of desk
+graphs, they give the first weight another gradient.
 """
 import numpy as np
 
@@ -66,8 +67,25 @@ def remask(embeddings, plan):
 
 
 def readout(node_embeddings, batch):
-    """Mean pooling: (B, h) rows, one per graph of `batch`."""
-    return ad.matmul(node_embeddings.tape.constant(batch.pool), node_embeddings)
+    """Mean pooling as one op: (B, h) rows, row b the sum of graph b's block
+    of m rows, its n_b rows and zero padding, over n_b. Its backward gives
+    each of graph b's rows dg_b / n_b and the padding rows nothing.
+
+    The block is summed whole because np.sum adds the rows pairwise when
+    they are one number wide, and then the trailing zeros change the
+    grouping of the graph's own rows and so its last bits."""
+    blocks = node_embeddings.value.reshape(len(batch.sizes), batch.width, -1)
+    sizes = [int(n) for n in batch.sizes]
+
+    def backward(g):
+        grad = np.zeros_like(blocks)
+        for b, n in enumerate(sizes):
+            grad[b, :n] = g[b] / n
+        return [(node_embeddings.tid, grad.reshape(node_embeddings.shape))]
+
+    return node_embeddings.tape.emit(
+        "readout", (node_embeddings,),
+        np.array([blocks[b].sum(axis=0) / n for b, n in enumerate(sizes)]), backward)
 
 
 def head_logits(g, head_weights):

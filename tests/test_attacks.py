@@ -699,6 +699,21 @@ def test_distill_rejects_bad_labels_and_empty_input():
         AT.distill_surrogate(lambda g: 2, toy_set(2), "gnn2_mlp", 5)
 
 
+@pytest.mark.parametrize("name, value", [("hidden", 0), ("batch_size", 0),
+                                         ("learning_rate", -0.01),
+                                         ("learning_rate", float("nan")),
+                                         ("learning_rate", float("inf"))])
+def test_distill_rejects_bad_arguments(name, value):
+    """A zero width or batch size, and a learning rate that is not finite
+    and positive, are named before the victim is asked for a label; they
+    used to end in a ZeroDivisionError, a range() error, an uphill run or
+    a NonFiniteError blaming a graph."""
+    def victim(g):
+        raise AssertionError("the victim was queried")
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        AT.distill_surrogate(victim, toy_set(2), "gnn2_mlp", 5, **{name: value})
+
+
 # ---------------------------------------------------- metrics
 
 def fake_result(success, added, original_edges, gid="r"):

@@ -227,19 +227,17 @@ def test_sparse_propagation_matches_dense_oracle(case):
 
 
 def padded_one_by_one(graphs):
-    """The (B, m, m) adjacency, (B*m, d) rows and (B, B*m) readout of
-    `graphs`, each graph written into its padded block in turn."""
+    """The (B, m, m) adjacency and (B*m, d) rows of `graphs`, each graph
+    written into its padded block in turn."""
     count, m = len(graphs), max(g.node_count for g in graphs)
     a = np.zeros((count, m, m))
     x = np.zeros((count * m, graphs[0].feature_dim))
-    pool = np.zeros((count, count * m))
     for b, g in enumerate(graphs):
         n, lo = g.node_count, b * m
         for s, t in g.edges.tolist():
             a[b, s, t] = 1.0
         x[lo:lo + n] = g.features
-        pool[b, lo:lo + n] = 1.0 / n
-    return a, x, pool
+    return a, x
 
 
 @settings(max_examples=40, deadline=None)
@@ -247,14 +245,14 @@ def padded_one_by_one(graphs):
 def test_batch_graphs_equals_padding_one_graph_at_a_time(cases):
     graphs = [make_graph(n, edges, d=3, seed=seed) for n, edges, seed in cases]
     batch = M.batch_graphs(graphs)
-    a, x, pool = padded_one_by_one(graphs)
+    a, x = padded_one_by_one(graphs)
     assert batch.width == a.shape[1]
     _, deg, _, _, p, _ = M.relaxed_propagation(a)
     assert batch.propagation.tobytes() == p.tobytes()
     built = M.edge_propagation(graphs, batch.width)
     assert built[0].tobytes() == p.tobytes() and built[1].tobytes() == deg.tobytes()
     assert np.array_equal(batch.features, x)
-    assert np.array_equal(batch.pool, pool)
+    assert batch.sizes.tolist() == [g.node_count for g in graphs]
 
 
 @settings(max_examples=30, deadline=None)
@@ -275,10 +273,39 @@ def test_encode_is_permutation_equivariant(case):
 
 # ------------------------------------------------------------------ readout/predict
 
-def test_readout_is_row_mean():
-    batch = M.batch_graphs([make_graph(2, [])])
-    out = batch.pool @ np.array([[1.0, 3.0], [3.0, 1.0]])
-    np.testing.assert_array_equal(out, [[2.0, 2.0]])
+@settings(max_examples=40, deadline=None)
+@given(st.lists(random_case(), min_size=1, max_size=5), st.integers(1, 9),
+       st.integers(1, 3))
+def test_padded_readout_is_each_graphs_own_mean(cases, hidden, layers):
+    """`readout` of a padded batch's encoder rows gives each graph the bits
+    of its own rows' sum / n, and its backward gives those rows dg / n. A
+    graph alone, unmasked, gets the bits of `graph_embeddings`. No equality
+    with inference is asserted at B > 1: the padded layer products may
+    round otherwise.
+
+    At width 1 np.sum adds a graph's rows pairwise, in groups that its
+    padding rows shift, so a padded graph's row may differ from its own
+    rows' sum in the last bits; there it is compared up to rounding."""
+    graphs = [make_graph(n, edges, d=3, seed=seed) for n, edges, seed in cases]
+    rng = np.random.default_rng(cases[0][2])
+    widths = [3] + [hidden] * layers
+    weights = [rng.normal(size=shape) for shape in zip(widths[:-1], widths[1:])]
+    batch = M.batch_graphs(graphs)
+    h = M.encode(batch, batch.features, weights)[0].reshape(len(graphs), batch.width, -1)
+    g, back = M.readout(h, batch.sizes)
+    dg = rng.normal(size=g.shape)
+    dh = back(dg)
+    assert g.shape == dg.shape == (len(graphs), hidden) and dh.shape == h.shape
+    for b, graph in enumerate(graphs):
+        n = graph.node_count
+        own = h[b, :n].sum(axis=0) / n
+        assert (np.array_equal(g[b], own) if hidden > 1
+                else np.allclose(g[b], own, rtol=1e-13, atol=0)), b
+        assert np.array_equal(dh[b, :n], np.tile(dg[b] / n, (n, 1))), b
+        one = M.batch_graphs([graph])
+        rows = M.encode(one, one.features, weights)[0]
+        alone = M.readout(rows.reshape(1, n, -1), one.sizes)[0]
+        assert alone.tobytes() == M.graph_embeddings([graph], weights).tobytes(), b
 
 
 def test_predict_tie_goes_malicious():
@@ -319,8 +346,6 @@ def test_predict_equals_forward_after_empty_mask_plan():
                      tape.constant(p.mask_token))
     rows = M.encode(M.batch_graphs([g]), x.value, p.encoder_weights)[0]
     hs, _ = M.gnn_layers(M.propagation_terms(g), g.features, p.encoder_weights)
-    # the rows predict pools; training pools by a matrix product, which may
-    # round differently from predict's mean
     np.testing.assert_array_equal(rows, hs[-1])
 
 
