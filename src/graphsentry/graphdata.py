@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -57,20 +57,6 @@ def _edge_array(edges, n: int, graph_id: str) -> np.ndarray:
     ValueError unless it is a list of [source, target] pairs of integral
     numbers; a fraction or a boolean is never read as a number. An endpoint
     too large for intp fails as out of range for the `n` nodes."""
-    if (type(edges) is list and set(map(type, edges)) <= {list, tuple}
-            and set(map(len, edges)) == {2}):
-        # The usual input, a list of pairs of ints, read without numpy's
-        # discovery of the nested list's shape and type; anything else, an
-        # int too large for intp included, takes the checks below.
-        flat = list(chain.from_iterable(edges))
-        if set(map(type, flat)) == {int}:
-            try:
-                out = np.fromiter(flat, np.intp, len(flat)).reshape(-1, 2)
-            except OverflowError:
-                pass
-            else:
-                out.flags.writeable = False
-                return out
     try:
         raw = np.asarray(edges)  # ValueError when ragged or nested too deeply
         if raw.shape == (0,):
@@ -258,17 +244,45 @@ def save_dataset(path, graphs: list[FeatureGraph], schema: FeatureSchema) -> Non
         fh.write("\n".join(lines) + "\n")
 
 
-def _whole(rec: dict, name: str) -> int:
-    """Field `name` of a dataset record as an int. ValueError naming the
-    record and the field unless it is an integral number: a fraction, a
+def _whole(value, what: str) -> int:
+    """A number read from a dataset file as an int. ValueError saying that
+    `what` must be an integer unless it is an integral number: a fraction, a
     string or a boolean is rejected, never truncated."""
-    value = rec[name]
     if type(value) is float and value.is_integer():
         return int(value)
     if type(value) is not int:
-        raise ValueError(f"record {rec['id']}: field {name!r} must be an integer, "
-                         f"got {value!r}")
+        raise ValueError(f"{what} must be an integer, got {value!r}")
     return value
+
+
+# The start of a record line as save_dataset writes it: keys sorted, so the
+# edge list comes first, and no whitespace. Each endpoint is a non-negative
+# integer with no leading zero and at most 18 digits, so it fits intp. The
+# repeats are possessive, as nothing they give back could match elsewhere.
+_ENDPOINT = r"(?:0|[1-9][0-9]{0,17}+)"
+_PAIR = rf"\[{_ENDPOINT},{_ENDPOINT}\]"
+_CANONICAL_EDGES = re.compile(rf'\{{"edges":\[((?:(?:{_PAIR},)*+{_PAIR})?)\],"')
+_BRACKETS_TO_SPACES = str.maketrans("[]", "  ")
+
+
+def _read_record(line: str):
+    """json.loads(line), except that the edge list of a canonical record line
+    becomes an (E, 2) intp array in one numpy call and json.loads reads only
+    the rest of the line. A line whose rest is no JSON object, or repeats the
+    "edges" key, goes to json.loads whole, as does any other line, so the
+    values and the errors are those of json.loads."""
+    m = _CANONICAL_EDGES.match(line)
+    if m:
+        try:
+            rec = json.loads("{" + line[m.end() - 1:])
+        except (json.JSONDecodeError, RecursionError):
+            pass  # raised again below, with its position in the whole line
+        else:
+            if "edges" not in rec:
+                rec["edges"] = np.fromstring(m.group(1).translate(_BRACKETS_TO_SPACES),
+                                             dtype=np.intp, sep=",").reshape(-1, 2)
+                return rec
+    return json.loads(line)
 
 
 def load_dataset(path) -> tuple[list[FeatureGraph], FeatureSchema]:
@@ -292,9 +306,15 @@ def load_dataset(path) -> tuple[list[FeatureGraph], FeatureSchema]:
         fail(1, "header is nested too deeply")
     if not isinstance(header, dict) or "opcode_dim" not in header or "permission_dim" not in header:
         fail(1, "header must carry opcode_dim and permission_dim")
+    if header.get("format", FORMAT_NAME) != FORMAT_NAME:
+        fail(1, f"header format must be {FORMAT_NAME!r}, got {header['format']!r}")
+    version = header.get("version", FORMAT_VERSION)
+    if type(version) is not int or version != FORMAT_VERSION:
+        fail(1, f"header version must be {FORMAT_VERSION}, got {version!r}")
     try:
-        schema = FeatureSchema(int(header["opcode_dim"]), int(header["permission_dim"]))
-    except (TypeError, ValueError, OverflowError) as exc:
+        schema = FeatureSchema(_whole(header["opcode_dim"], "opcode_dim"),
+                               _whole(header["permission_dim"], "permission_dim"))
+    except ValueError as exc:
         fail(1, f"bad header dims: {exc}")
     if len(raw) == 1:
         raise ValueError(f"{path}: dataset is empty")
@@ -302,7 +322,7 @@ def load_dataset(path) -> tuple[list[FeatureGraph], FeatureSchema]:
     graphs = []
     for lineno, line in enumerate(raw[1:], start=2):
         try:
-            rec = json.loads(line)
+            rec = _read_record(line)
         except json.JSONDecodeError as exc:
             fail(lineno, f"record is not valid JSON ({exc.msg})")
         except RecursionError:
@@ -313,9 +333,10 @@ def load_dataset(path) -> tuple[list[FeatureGraph], FeatureSchema]:
         if missing:
             fail(lineno, f"record missing fields {sorted(missing)}")
         try:
-            n = _whole(rec, "n")
-            label = _whole(rec, "label")
-            year = None if rec.get("year") is None else _whole(rec, "year")
+            n = _whole(rec["n"], f"record {rec['id']}: field 'n'")
+            label = _whole(rec["label"], f"record {rec['id']}: field 'label'")
+            year = (None if rec.get("year") is None
+                    else _whole(rec["year"], f"record {rec['id']}: field 'year'"))
         except ValueError as exc:
             fail(lineno, str(exc))
         bits = rec["x"]

@@ -223,12 +223,45 @@ def test_load_rejects_missing_header_fields(tmp_path):
         load_dataset(path)
 
 
-@pytest.mark.parametrize("dim", ["1e999", "-Infinity", '"x"', "null"])
+@pytest.mark.parametrize("dim", ["1e999", "-Infinity", '"x"', "null", "3.5", '"3"', "true"])
 def test_load_rejects_unconvertible_header_dims(tmp_path, dim):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"opcode_dim":%s,"permission_dim":2}\n' % dim)
     with pytest.raises(ValueError, match=r":1: bad header dims"):
         load_dataset(path)
+
+
+RECORD = '{"edges":[],"id":"r","label":0,"n":1,"x":["10101"]}'
+
+
+@pytest.mark.parametrize("header", [
+    '{"opcode_dim":3.0,"permission_dim":2}',
+    '{"format":"graphsentry-dataset","opcode_dim":3,"permission_dim":2}',
+    '{"opcode_dim":3,"permission_dim":2.0,"version":1}',
+], ids=["float-dim-no-format-no-version", "no-version", "no-format"])
+def test_load_reads_header_dims_and_optional_format_fields(tmp_path, header):
+    path = tmp_path / "data.jsonl"
+    path.write_text(f"{header}\n{RECORD}\n")
+    (g,), schema = load_dataset(path)
+    assert schema == SCHEMA and {type(schema.opcode_dim), type(schema.permission_dim)} == {int}
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("format", '"other-dataset"', "header format must be 'graphsentry-dataset', "
+                                  "got 'other-dataset'"),
+    ("format", "null", "header format must be 'graphsentry-dataset', got None"),
+    ("version", "2", "header version must be 1, got 2"),
+    ("version", '"1"', "header version must be 1, got '1'"),
+    ("version", "true", "header version must be 1, got True"),
+    ("version", "1.0", "header version must be 1, got 1.0"),
+])
+def test_load_rejects_another_format_or_version(tmp_path, field, value, message):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"%s":%s,"opcode_dim":3,"permission_dim":2}\n%s\n'
+                    % (field, value, RECORD))
+    with pytest.raises(ValueError) as err:
+        load_dataset(path)
+    assert str(err.value) == f"{path}:1: {message}"
 
 
 def test_save_is_byte_deterministic(tmp_path):
