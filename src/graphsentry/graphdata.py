@@ -257,11 +257,14 @@ def _whole(value, what: str) -> int:
 
 # The start of a record line as save_dataset writes it: keys sorted, so the
 # edge list comes first, and no whitespace. Each endpoint is a non-negative
-# integer with no leading zero and at most 18 digits, so it fits intp. The
-# repeats are possessive, as nothing they give back could match elsewhere.
-_ENDPOINT = r"(?:0|[1-9][0-9]{0,17}+)"
+# integer with no leading zero and one digit fewer than intp's maximum, so it
+# fits intp (18 digits where intp has 64 bits, 9 where it has 32); a longer
+# endpoint goes to json.loads. Every pair is closed by a bracket, so
+# backtracking stays linear in the line's length.
+_ENDPOINT_DIGITS = len(str(np.iinfo(np.intp).max)) - 1
+_ENDPOINT = rf"(?:0|[1-9][0-9]{{0,{_ENDPOINT_DIGITS - 1}}})"
 _PAIR = rf"\[{_ENDPOINT},{_ENDPOINT}\]"
-_CANONICAL_EDGES = re.compile(rf'\{{"edges":\[((?:(?:{_PAIR},)*+{_PAIR})?)\],"')
+_CANONICAL_EDGES = re.compile(rf'\{{"edges":\[((?:(?:{_PAIR},)*{_PAIR})?)\],"')
 _BRACKETS_TO_SPACES = str.maketrans("[]", "  ")
 
 

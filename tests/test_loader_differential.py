@@ -91,6 +91,9 @@ def test_saved_datasets_load_alike_on_the_canonical_path(drawn):
 
 
 REST = '"id":"a","label":0,"n":3,"x":["00000","11111","10101"]}'
+# The longest endpoint the numpy path reads: one digit fewer than intp's
+# maximum, 18 digits where intp has 64 bits.
+LONGEST = "9" * G._ENDPOINT_DIGITS
 DEEP = "[" * 100000
 
 
@@ -100,7 +103,7 @@ CANONICAL = {
     "edges": '{"edges":[[0,1],[2,0]],' + REST,
     "no-edges": '{"edges":[],' + REST,
     "id-with-edges-key-text": '{"edges":[[0,1]],' + REST.replace('"a"', r'"a\"edges\":"'),
-    "18-digits": '{"edges":[[123456789012345678,1]],' + REST,
+    "longest-endpoint": '{"edges":[[' + LONGEST + ',1]],' + REST,
     "duplicate-edge": '{"edges":[[1,0],[1,0]],' + REST,
     "self-loop": '{"edges":[[1,1]],' + REST,
     "out-of-range": '{"edges":[[0,3]],' + REST,
@@ -135,7 +138,7 @@ OTHER = {
     "trailing-comma": '{"edges":[[0,1],],' + REST,
     "extra-bracket": '{"edges":[[0,1]]],' + REST,
     "no-comma": '{"edges":[[0,1]]' + REST,
-    "19-digits": '{"edges":[[1234567890123456789,1]],' + REST,
+    "endpoint-a-digit-longer": '{"edges":[[1' + LONGEST + ',1]],' + REST,
     "past-int64": '{"edges":[[99999999999999999999,1]],' + REST,
     "edges-object": '{"edges":{"0":1},' + REST,
     "edges-not-first": '{"id":"a","edges":[[0,1]],' + REST[len('"id":"a",'):],
