@@ -466,13 +466,14 @@ def surrogate_batch_grads(sp: SurrogateParams, members: list[tuple[FeatureGraph,
     """(loss, {name: gradient}) of a batch of (graph, victim label) members,
     labels 0 or 1 as `distill_surrogate` checks: the sum of their
     cross-entropies and its gradient by each weight of `sp`. A GNN
-    surrogate runs `model.encode` on the padded batch (model.GraphBatch) and
-    takes each graph's mean row by `model.readout`; the head is
-    `model.mlp_logits` and the loss `losses.cross_entropy_logits`, whose
-    backward passes give the bits of the same loss written as tape ops. The
-    values a tape checks are checked under the names of its ops: the
-    weights on entry, each layer's pre-activation, the readout, the head
-    products, the shifted logits and the loss sums."""
+    surrogate runs `model.encode` on the padded (B, m, ·) stacks of
+    `model.batch_graphs` and takes each graph's mean row by `model.readout`;
+    the head is `model.mlp_logits` and the loss
+    `losses.cross_entropy_logits`, whose backward passes give the bits of the
+    same loss written as tape ops. The values a tape checks are checked
+    under the names of its ops: the weights on entry, each layer's
+    pre-activation, the readout, the head products, the shifted logits and
+    the loss sums."""
     w = sp.weights
     if not all(np.isfinite(a).all() for a in w.values()):
         raise ad.NonFiniteError("leaf tensor contains non-finite values")
@@ -480,9 +481,9 @@ def surrogate_batch_grads(sp: SurrogateParams, members: list[tuple[FeatureGraph,
     gnn = sp.architecture == "gnn2_mlp"
     with np.errstate(over="ignore", invalid="ignore"):  # blowups become NonFiniteError
         if gnn:
-            batch = M.batch_graphs(graphs)
-            h, enc_back = M.encode(batch, batch.features, [w["enc.0"], w["enc.1"]])
-            g, read_back = M.readout(h.reshape(len(graphs), batch.width, -1), batch.sizes)
+            p, x, sizes = M.batch_graphs(graphs)
+            h, enc_back = M.encode(p, x, [w["enc.0"], w["enc.1"]])
+            g, read_back = M.readout(h, sizes)
             ad.check_finite("readout", g)
         else:
             g = _degree_summaries(graphs)

@@ -43,8 +43,9 @@ def row_cosine(x: np.ndarray, z: np.ndarray):
 
 def reconstruction_loss(x: np.ndarray, z: np.ndarray, rows, row_weights):
     """Sum over masked `rows` v of w_v (1 - cos(x_v, z_v))^2, each term in
-    [0, 4]; `back(s)` gives (dx, dz). Training weighs each row by 1/(its
-    graph's masked count), so each graph adds the mean over its masked rows."""
+    [0, 4]; `back(s)` gives dz, x being the constant target. Training weighs
+    each row by 1/(its graph's masked count), so each graph adds the mean
+    over its masked rows."""
     if not len(rows):
         raise ValueError("reconstruction loss needs at least one masked node")
     idx = np.asarray(rows, dtype=np.intp)
@@ -53,11 +54,9 @@ def reconstruction_loss(x: np.ndarray, z: np.ndarray, rows, row_weights):
     a = 1.0 - cos
 
     def back(s):
-        gx, gz = cos_back(-(2.0 * a * (float(s) * w)))
-        dx, dz = np.zeros_like(x), np.zeros_like(z)
-        dx[idx] += gx
-        dz[idx] += gz
-        return dx, dz
+        dz = np.zeros_like(z)
+        dz[idx] += cos_back(-(2.0 * a * (float(s) * w)))[1]
+        return dz
     return (a * a) @ w, back
 
 

@@ -8,19 +8,21 @@ of an adjacency with entries in [0, 1], which the attack's relaxed rows
 propagate through; at 0/1 adjacency it is `propagation_terms`, and
 `edge_propagation` builds the same bits for a stack of graphs straight from
 their edge arrays. The GCN layer stack is written once, in plain numpy
-(`gnn_layers`), and so is its backward (`gnn_backward`). Training runs the
-stack over a padded minibatch (`GraphBatch`, whose (B, m, m) stack of P
-comes from one `edge_propagation` call), one graph being a batch of one:
-`encode` is one encoder or decoder pass with its backward, and `mlp_logits`
-the MLP head with its. Inference and the attack call `gnn_layers` directly,
-the attack's relaxed backward calls `gnn_backward`, and both score
-embeddings by one head per family (`proxy_head`, `logits_head`). Training,
-inference and the attack take one mean readout (`readout`). Every inference
-call, for one graph or many, runs one path: `graph_stacks` → `gnn_layers`
-→ `readout` → `classify_rows`. Graphs of one node count run as one unpadded
-(k, n, n) stack, so each graph gets the bits it gets alone, and a stack
-that fails a check names its graph by running the graphs alone. The module
-holds no mutable state: a training run counts its own masking and decoding.
+(`gnn_layers`), and so is its backward (`gnn_backward`). Every pass holds
+its nodes as (B, m, ·) stacks. Training runs the stack over a padded
+minibatch (`batch_graphs`: a (B, m, m) stack of P from one
+`edge_propagation` call, the (B, m, d) feature rows and the node counts),
+one graph being a batch of one: `encode` is one encoder or decoder pass with
+its backward, and `mlp_logits` the MLP head with its. Inference and the
+attack call `gnn_layers` directly, the attack's relaxed backward calls
+`gnn_backward`, and both score embeddings by one head per family
+(`proxy_head`, `logits_head`). Training, inference and the attack take one
+mean readout (`readout`). Every inference call, for one graph or many, runs
+one path: `graph_stacks` → `gnn_layers` → `readout` → `classify_rows`.
+Graphs of one node count run as one unpadded (k, n, n) stack, so each graph
+gets the bits it gets alone, and a stack that fails a check names its graph
+by running the graphs alone. The module holds no mutable state: a training
+run counts its own masking and decoding.
 """
 from __future__ import annotations
 
@@ -127,40 +129,25 @@ class MaskPlan:
     masked: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class GraphBatch:
-    """A minibatch of B graphs padded to m nodes each, held as one set of B*m
-    node rows: rows b*m .. b*m + n_b - 1 are graph b's nodes and the rest of
-    its block is zero padding. A padding node has degree 0, so its row and
-    column of P are zero; as the layers have no bias, its rows stay zero
-    through every layer and no real node reads them."""
-
-    width: int                # m, the largest node count of the batch
-    propagation: np.ndarray   # (B, m, m): P of each graph, zero-padded
-    features: np.ndarray      # (B*m, d): feature rows, zero rows for padding
-    sizes: np.ndarray         # (B,): n_b, the node count of graph b
-
-    def rows(self, b: int, nodes) -> list[int]:
-        """Row indices of graph b's nodes `nodes`."""
-        return [b * self.width + int(i) for i in nodes]
-
-
-def batch_graphs(graphs: list[FeatureGraph]) -> GraphBatch:
-    """Pad `graphs` to their largest node count m and stack them; P comes
-    from one `edge_propagation` call on the batch's edges, with the bits
-    `relaxed_propagation` gives the stacked 0/1 adjacency."""
+def batch_graphs(graphs: list[FeatureGraph]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(P, X, sizes) of `graphs` padded to their largest node count m: the
+    (B, m, m) stack of P from one `edge_propagation` call on the batch's
+    edges, with the bits `relaxed_propagation` gives the stacked 0/1
+    adjacency; the (B, m, d) stack of feature rows; and the (B,) node counts.
+    Graph b's nodes are rows 0 .. n_b - 1 of its block and the rest is zero
+    padding. A padding node has degree 0, so its row and column of P are
+    zero; as the layers have no bias, its rows stay zero through every layer
+    and no real node reads them."""
     if not graphs:
         raise ValueError("a batch needs at least one graph")
     for g in graphs:
         if g.node_count < 1:
             raise ValueError(f"graph {g.graph_id} is empty")
-    count = len(graphs)
     sizes = np.array([g.node_count for g in graphs])
     m = int(sizes.max())
-    real = np.arange(m) < sizes[:, None]  # (B, m): the rows that hold a node
-    x = np.zeros((count, m, graphs[0].feature_dim))
-    x[real] = np.concatenate([g.features for g in graphs])
-    return GraphBatch(m, edge_propagation(graphs, m)[0], x.reshape(count * m, -1), sizes)
+    x = np.zeros((len(graphs), m, graphs[0].feature_dim))
+    x[np.arange(m) < sizes[:, None]] = np.concatenate([g.features for g in graphs])
+    return edge_propagation(graphs, m)[0], x, sizes
 
 
 def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -335,32 +322,33 @@ def gnn_backward(p: np.ndarray, qs: list[np.ndarray], transposes: list[np.ndarra
     return dqs, dms, dh
 
 
-def encode(batch: GraphBatch, rows: np.ndarray, weights: list[np.ndarray],
+def encode(p: np.ndarray, rows: np.ndarray, weights: list[np.ndarray],
            final_linear: bool = False):
-    """`gnn_layers` over the B*m node rows of `batch` that `rows` holds: the
-    encoder, or the decoder with `final_linear` (its last layer stays
-    linear, so reconstructions can approach binary targets from both
-    sides). Each layer's pre-activation is checked, as a ReLU can turn an
-    intermediate -inf into 0; call it inside np.errstate.
+    """`gnn_layers` over the (B, m, ·) node rows `rows` of a padded batch
+    whose (B, m, m) stack of P is `p`: the encoder, or the decoder with
+    `final_linear` (its last layer stays linear, so reconstructions can
+    approach binary targets from both sides). Each layer's pre-activation is
+    checked, as a ReLU can turn an intermediate -inf into 0; call it inside
+    np.errstate.
 
-    Returns (out, back): the (B*m, width) output rows and back(d_out,
+    Returns (out, back): the (B, m, width) output rows and back(d_out,
     input_grad=True) -> ([dW_l], d_rows or None). The backward is
     `gnn_backward` with the weights' transposed views, and dW_l =
-    (h_l + P h_l)^T dq_l, the products of the layers as tape ops."""
-    p = batch.propagation
+    (h_l + P h_l)^T dq_l over all the batch's rows, the products of the
+    layers as tape ops."""
     kept = {}  # gnn_layers' arrays; ("ph", l) holds h_l + P h_l
-    hs, qs = gnn_layers(p, rows.reshape(p.shape[:2] + (-1,)), weights, kept)
+    hs, qs = gnn_layers(p, rows, weights, kept)
     ad.check_finite("matmul", *qs)
-    out = qs[-1] if final_linear else hs[-1]
 
     def back(d_out, input_grad=True):
-        dqs, _, d_rows = gnn_backward(p, qs, [w.T for w in weights],
-                                      d_out.reshape(out.shape), final_linear,
+        dqs, _, d_rows = gnn_backward(p, qs, [w.T for w in weights], d_out, final_linear,
                                       stop=0 if input_grad else 1)
+        # one 2-D product over all B*m rows per weight (np.tensordot gives
+        # the same bits, but its Python overhead costs about 3% of a distillation)
         dws = [kept["ph", l].reshape(-1, w.shape[0]).T @ dq.reshape(-1, w.shape[1])
                for l, (w, dq) in enumerate(zip(weights, dqs))]
-        return dws, d_rows.reshape(rows.shape) if input_grad else None
-    return out.reshape(len(rows), -1), back
+        return dws, d_rows if input_grad else None
+    return qs[-1] if final_linear else hs[-1], back
 
 
 def readout(h: np.ndarray, n):

@@ -2,10 +2,10 @@
 
 One minibatch loop (`minibatch_epoch`) trains the detector and the attack's
 distilled surrogate: per epoch the graphs are reshuffled, each batch, its
-graphs padded and stacked (`model.GraphBatch`), gives the gradient of the
-sum of its per-graph losses, and the optimizer steps once on that gradient
-over the batch size, the mean. Each model's batch is one function with a
-hand-written backward: `detector_batch_grads` here, and
+graphs padded into (B, m, ·) stacks (`model.batch_graphs`), gives the
+gradient of the sum of its per-graph losses, and the optimizer steps once on
+that gradient over the batch size, the mean. Each model's batch is one
+function with a hand-written backward: `detector_batch_grads` here, and
 `attacks.surrogate_batch_grads` for the surrogate, both built from
 `model.encode` (an encoder or decoder pass, `model.gnn_layers` forward and
 `model.gnn_backward` backward), `model.mlp_logits` and the losses of
@@ -61,6 +61,9 @@ class TrainConfig:
     variant: str = "full"
 
     def validate(self) -> None:
+        for name in ("learning_rate", "lambda1", "lambda2"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie strictly between 0 and 1")
         if self.learning_rate <= 0:
@@ -205,7 +208,9 @@ def detector_batch_grads(members: list[tuple[FeatureGraph, M.MaskPlan | None]],
     plan) members: the sum of their joint losses lambda1 * rec + lambda2 *
     contrast (cross-entropy for the MLP-head variants), the sum of their
     reconstruction losses (0 when no member is masked), and the gradient of
-    `joint` by each parameter, zeros where it reads none.
+    `joint` by each parameter, zeros where it reads none. One (B, m) mask of
+    the planned rows drives the mask-token write, the decoder's zeroed
+    input, its zeroed adjoint and the mask token's gradient.
 
     The backward runs in the reverse order of the ops a tape would record,
     with their products, so it gives their bits; the values a tape checks
@@ -215,21 +220,20 @@ def detector_batch_grads(members: list[tuple[FeatureGraph, M.MaskPlan | None]],
         raise ad.NonFiniteError("leaf tensor contains non-finite values")
     graphs = [g for g, _ in members]
     labels = [g.label for g in graphs]
-    batch = M.batch_graphs(graphs)
-    x = batch.features
-    masked, row_weights = [], []
+    p, x, sizes = M.batch_graphs(graphs)
+    mask = np.zeros(x.shape[:2], dtype=bool)  # (B, m): the masked node rows
     for b, (_, plan) in enumerate(members):
         if plan is not None:
-            masked += batch.rows(b, plan.masked)
-            row_weights += [1.0 / len(plan.masked)] * len(plan.masked)
+            mask[b, list(plan.masked)] = True
+    masked = bool(mask.any())
     grads = {name: None for name in arrays}
     with np.errstate(over="ignore", invalid="ignore"):  # blowups become NonFiniteError
         xin = x
         if masked:  # masked rows read the mask token
             xin = x.copy()
-            xin[masked] = params.mask_token
-        h, enc_back = M.encode(batch, xin, params.encoder_weights)
-        g, read_back = M.readout(h.reshape(len(graphs), batch.width, -1), batch.sizes)
+            xin[mask] = params.mask_token
+        h, enc_back = M.encode(p, xin, params.encoder_weights)
+        g, read_back = M.readout(h, sizes)
         ad.check_finite("readout", g)
         if config.uses_proxies:
             cl, cl_back = contrastive_loss(g, labels, params.proxy_benign,
@@ -241,10 +245,15 @@ def detector_batch_grads(members: list[tuple[FeatureGraph, M.MaskPlan | None]],
         rec = 0.0
         if masked:  # the decoder reads the masked rows as zeros
             remasked = h.copy()
-            remasked[masked] = 0.0
-            z, dec_back = M.encode(batch, remasked, params.decoder_weights,
-                                   final_linear=True)
-            rec, rec_back = reconstruction_loss(x, z, masked, row_weights)
+            remasked[mask] = 0.0
+            z, dec_back = M.encode(p, remasked, params.decoder_weights, final_linear=True)
+            # flat views: the masked rows in batch order, each graph's in
+            # its plan's (sorted) order, weighed by 1 / its masked count
+            counts = mask.sum(axis=1)
+            row_weights = np.repeat(1.0 / np.maximum(counts, 1), counts)
+            rec, rec_back = reconstruction_loss(x.reshape(-1, x.shape[2]),
+                                                z.reshape(-1, z.shape[2]),
+                                                np.flatnonzero(mask), row_weights)
         lam1, lam2 = float(config.lambda1), float(config.lambda2)
         parts = rec * lam1, cl * lam2
         ad.check_finite("scale", *parts)
@@ -257,14 +266,14 @@ def detector_batch_grads(members: list[tuple[FeatureGraph, M.MaskPlan | None]],
             dg, (grads["head.0"], grads["head.1"]) = head_back(ce_back(lam2))
         dh = read_back(dg)
         if masked:
-            dws, dh_dec = dec_back(rec_back(lam1)[1])
-            dh_dec[masked] = 0.0
-            dh = dh_dec.reshape(dh.shape) + dh
+            dws, dh_dec = dec_back(rec_back(lam1).reshape(z.shape))
+            dh_dec[mask] = 0.0
+            dh = dh_dec + dh
             grads.update((f"decoder.{l}", dw) for l, dw in enumerate(dws))
-        dws, dx = enc_back(dh, input_grad=bool(masked))
+        dws, dx = enc_back(dh, input_grad=masked)
         grads.update((f"encoder.{l}", dw) for l, dw in enumerate(dws))
         if masked:
-            grads["mask_token"] = dx[masked].sum(axis=0)
+            grads["mask_token"] = dx[mask].sum(axis=0)
     return joint, rec, {name: np.zeros_like(arrays[name]) if grad is None else grad
                         for name, grad in grads.items()}
 

@@ -9,9 +9,11 @@ one op (`layer_op`, forward `model.gnn_layers`, backward
 `model.gnn_backward`), which test_layer_op_gives_the_bits_of_per_op_layers
 checks against layers of one op per step; the readout is one op, a mean
 per graph written apart from `model.readout`; masking, head and losses are
-primitive ops. The per-op layers are no reference for every batch: at
-hidden width 1 after an input width of 12, on a 32-graph batch of desk
-graphs, they give the first weight another gradient.
+primitive ops. The tape holds a batch's nodes as B*m rank-2 rows, graph
+b's block being rows b*m .. b*m + m - 1, so the ops here flatten the
+package's (B, m, ·) stacks themselves. The per-op layers are no reference
+for every batch: at hidden width 1 after an input width of 12, on a
+32-graph batch of desk graphs, they give the first weight another gradient.
 """
 import numpy as np
 
@@ -20,11 +22,11 @@ from graphsentry import model as M
 from graphsentry.attacks import _degree_summaries
 
 
-def layer_op(features, batch, weights, final_linear):
-    """`gnn_layers` over a batch's rows as one tape op; the last layer may
-    stay linear. Its backward is `gnn_backward`, with the weights'
-    transposed views, and dW_l = (h_l + P h_l)^T dq_l."""
-    p = batch.propagation
+def layer_op(features, p, weights, final_linear):
+    """`gnn_layers` over a batch's B*m rows as one tape op, P the batch's
+    (B, m, m) stack; the last layer may stay linear. Its backward is
+    `gnn_backward`, with the weights' transposed views, and dW_l =
+    (h_l + P h_l)^T dq_l."""
     count, m, _ = p.shape
     xv = features.value
     ws = [w.value for w in weights]
@@ -66,7 +68,7 @@ def remask(embeddings, plan):
     return ad.scatter_rows(embeddings, list(plan.masked), zeros)
 
 
-def readout(node_embeddings, batch):
+def readout(node_embeddings, sizes):
     """Mean pooling as one op: (B, h) rows, row b the sum of graph b's block
     of m rows, its n_b rows and zero padding, over n_b. Its backward gives
     each of graph b's rows dg_b / n_b and the padding rows nothing.
@@ -74,8 +76,8 @@ def readout(node_embeddings, batch):
     The block is summed whole because np.sum adds the rows pairwise when
     they are one number wide, and then the trailing zeros change the
     grouping of the graph's own rows and so its last bits."""
-    blocks = node_embeddings.value.reshape(len(batch.sizes), batch.width, -1)
-    sizes = [int(n) for n in batch.sizes]
+    blocks = node_embeddings.value.reshape(len(sizes), -1, node_embeddings.shape[1])
+    sizes = [int(n) for n in sizes]
 
     def backward(g):
         grad = np.zeros_like(blocks)
@@ -137,19 +139,20 @@ def detector_loss_tape(members, params, config, class_weights):
     members, as `training.detector_batch_grads` returns them, from one tape.
     lambda1 weighs the reconstruction for the masking variants only."""
     graphs = [g for g, _ in members]
-    batch = M.batch_graphs(graphs)
+    p, features, sizes = M.batch_graphs(graphs)
+    count, m, d = features.shape
     tape = ad.Tape()
     bound = M.bind_params(tape, params)
-    x = tape.constant(batch.features)
+    x = tape.constant(features.reshape(count * m, d))
     masked, row_weights = [], []
     for b, (_, plan) in enumerate(members):
         if plan is not None:
-            masked += batch.rows(b, plan.masked)
+            masked += [b * m + int(i) for i in plan.masked]
             row_weights += [1.0 / len(plan.masked)] * len(plan.masked)
     plan = M.MaskPlan(tuple(masked))
-    h = layer_op(apply_mask(x, plan, bound["mask_token"]), batch,
+    h = layer_op(apply_mask(x, plan, bound["mask_token"]), p,
                  layer_tensors(bound, "encoder"), final_linear=False)
-    g = readout(h, batch)
+    g = readout(h, sizes)
     labels = [graph.label for graph in graphs]
     if config.uses_proxies:
         cl = contrastive_loss(g, labels, bound["proxy_benign"], bound["proxy_malicious"],
@@ -157,7 +160,7 @@ def detector_loss_tape(members, params, config, class_weights):
     else:
         cl = cross_entropy_logits(head_logits(g, layer_tensors(bound, "head")), labels)
     if masked:
-        z = layer_op(remask(h, plan), batch, layer_tensors(bound, "decoder"),
+        z = layer_op(remask(h, plan), p, layer_tensors(bound, "decoder"),
                      final_linear=True)
         rec = reconstruction_loss(x, z, plan, row_weights)
     else:
@@ -171,14 +174,14 @@ def detector_loss_tape(members, params, config, class_weights):
 def surrogate_loss_tape(sp, members):
     """(loss, {name: gradient}) of a batch of (graph, label) members, as
     `attacks.surrogate_batch_grads` returns them, from one tape. A GNN
-    surrogate runs on the padded batch (model.GraphBatch)."""
+    surrogate runs on the padded batch of `model.batch_graphs`."""
     tape = ad.Tape()
     bound = {k: tape.param(v) for k, v in sp.weights.items()}
     graphs = [g for g, _ in members]
     if sp.architecture == "gnn2_mlp":
-        batch = M.batch_graphs(graphs)
-        g = readout(layer_op(tape.constant(batch.features), batch,
-                             [bound["enc.0"], bound["enc.1"]], False), batch)
+        p, x, sizes = M.batch_graphs(graphs)
+        rows = tape.constant(x.reshape(-1, x.shape[2]))
+        g = readout(layer_op(rows, p, [bound["enc.0"], bound["enc.1"]], False), sizes)
     else:
         g = tape.constant(_degree_summaries(graphs))
     loss = cross_entropy_logits(head_logits(g, [bound["head.0"], bound["head.1"]]),

@@ -124,13 +124,13 @@ def test_criterion_02_sparse_matches_dense_oracle():
         n = int(rng.integers(1, 17))
         graph = random_graph(rng, n, d)
         params = M.init_params(d, hidden=hidden, layers=2, rng_seed=i)
-        batch = M.batch_graphs([graph])
+        p = M.batch_graphs([graph])[0]
         x = graph.features.copy()
-        enc = M.encode(batch, x, params.encoder_weights)[0]
+        enc = M.encode(p, x[None], params.encoder_weights)[0][0]
         want = dense_propagation(graph, params.encoder_weights, False, x)
         worst = max(worst, float(np.abs(enc - want).max()))
         hin = rng.normal(size=(n, hidden))
-        dec = M.encode(batch, hin, params.decoder_weights, final_linear=True)[0]
+        dec = M.encode(p, hin[None], params.decoder_weights, final_linear=True)[0][0]
         want = dense_propagation(graph, params.decoder_weights, True, hin)
         worst = max(worst, float(np.abs(dec - want).max()))
     ok = worst <= 1e-10

@@ -97,6 +97,7 @@ def margin(victim, features, a_batch):
 
 # ---------------------------------------------------- relaxed forward correctness
 
+@pytest.mark.bits
 @pytest.mark.parametrize("head", [False, True])
 def test_relaxed_margin_at_binary_adjacency_matches_predict(head):
     for seed in range(6):
@@ -108,6 +109,7 @@ def test_relaxed_margin_at_binary_adjacency_matches_predict(head):
         assert f[0] == s0 - s1, seed
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("layers", [11, 12])
 def test_relaxed_margin_matches_predict_at_any_depth(layers):
     """Sorted as strings, encoder.10 comes before encoder.2; predict must
@@ -128,13 +130,14 @@ def test_surrogate_gnn_margin_matches_tape_forward():
     tape = ad.Tape()
     enc = [tape.constant(sp.weights["enc.0"]), tape.constant(sp.weights["enc.1"])]
     head = [tape.constant(sp.weights["head.0"]), tape.constant(sp.weights["head.1"])]
-    batch = M.batch_graphs([g])
-    logits = R.head_logits(R.readout(R.layer_op(tape.constant(g.features), batch, enc,
-                                                False), batch), head)
+    p, _, sizes = M.batch_graphs([g])
+    logits = R.head_logits(R.readout(R.layer_op(tape.constant(g.features), p, enc,
+                                                False), sizes), head)
     assert f[0] == pytest.approx(float(logits.value[0, 0] - logits.value[0, 1]),
                                  abs=1e-12)
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("arch", AT.ARCHITECTURES)
 def test_surrogate_label_is_the_sign_of_the_relaxed_margin(arch):
     """The forward-only label and margin agree with the relaxed pass at the

@@ -41,13 +41,14 @@ def dense_oracle(graph, features, weights, final_linear):
     return h
 
 
-def run_encode(graph, features, weight_arrays):
-    """`M.encode` of `features` on `graph` as a batch of one."""
-    return M.encode(M.batch_graphs([graph]), features, weight_arrays)[0]
+def run_encode(graph, features, weight_arrays, final_linear=False):
+    """`M.encode` of the (n, d) rows `features` on `graph` as a batch of one."""
+    p = M.batch_graphs([graph])[0]
+    return M.encode(p, features[None], weight_arrays, final_linear)[0][0]
 
 
 def run_decode(graph, rows, weight_arrays):
-    return M.encode(M.batch_graphs([graph]), rows, weight_arrays, final_linear=True)[0]
+    return run_encode(graph, rows, weight_arrays, final_linear=True)
 
 
 # ------------------------------------------------------------------ init
@@ -227,32 +228,31 @@ def test_sparse_propagation_matches_dense_oracle(case):
 
 
 def padded_one_by_one(graphs):
-    """The (B, m, m) adjacency and (B*m, d) rows of `graphs`, each graph
+    """The (B, m, m) adjacency and (B, m, d) rows of `graphs`, each graph
     written into its padded block in turn."""
     count, m = len(graphs), max(g.node_count for g in graphs)
     a = np.zeros((count, m, m))
-    x = np.zeros((count * m, graphs[0].feature_dim))
+    x = np.zeros((count, m, graphs[0].feature_dim))
     for b, g in enumerate(graphs):
-        n, lo = g.node_count, b * m
         for s, t in g.edges.tolist():
             a[b, s, t] = 1.0
-        x[lo:lo + n] = g.features
+        x[b, :g.node_count] = g.features
     return a, x
 
 
+@pytest.mark.bits
 @settings(max_examples=40, deadline=None)
 @given(st.lists(random_case(), min_size=1, max_size=5))
 def test_batch_graphs_equals_padding_one_graph_at_a_time(cases):
     graphs = [make_graph(n, edges, d=3, seed=seed) for n, edges, seed in cases]
-    batch = M.batch_graphs(graphs)
+    stack, features, sizes = M.batch_graphs(graphs)
     a, x = padded_one_by_one(graphs)
-    assert batch.width == a.shape[1]
     _, deg, _, _, p, _ = M.relaxed_propagation(a)
-    assert batch.propagation.tobytes() == p.tobytes()
-    built = M.edge_propagation(graphs, batch.width)
+    assert stack.tobytes() == p.tobytes()
+    built = M.edge_propagation(graphs, a.shape[1])
     assert built[0].tobytes() == p.tobytes() and built[1].tobytes() == deg.tobytes()
-    assert np.array_equal(batch.features, x)
-    assert batch.sizes.tolist() == [g.node_count for g in graphs]
+    assert features.shape == x.shape and np.array_equal(features, x)
+    assert sizes.tolist() == [g.node_count for g in graphs]
 
 
 @settings(max_examples=30, deadline=None)
@@ -273,6 +273,7 @@ def test_encode_is_permutation_equivariant(case):
 
 # ------------------------------------------------------------------ readout/predict
 
+@pytest.mark.bits
 @settings(max_examples=40, deadline=None)
 @given(st.lists(random_case(), min_size=1, max_size=5), st.integers(1, 9),
        st.integers(1, 3))
@@ -290,9 +291,9 @@ def test_padded_readout_is_each_graphs_own_mean(cases, hidden, layers):
     rng = np.random.default_rng(cases[0][2])
     widths = [3] + [hidden] * layers
     weights = [rng.normal(size=shape) for shape in zip(widths[:-1], widths[1:])]
-    batch = M.batch_graphs(graphs)
-    h = M.encode(batch, batch.features, weights)[0].reshape(len(graphs), batch.width, -1)
-    g, back = M.readout(h, batch.sizes)
+    p, x, sizes = M.batch_graphs(graphs)
+    h = M.encode(p, x, weights)[0]
+    g, back = M.readout(h, sizes)
     dg = rng.normal(size=g.shape)
     dh = back(dg)
     assert g.shape == dg.shape == (len(graphs), hidden) and dh.shape == h.shape
@@ -302,9 +303,8 @@ def test_padded_readout_is_each_graphs_own_mean(cases, hidden, layers):
         assert (np.array_equal(g[b], own) if hidden > 1
                 else np.allclose(g[b], own, rtol=1e-13, atol=0)), b
         assert np.array_equal(dh[b, :n], np.tile(dg[b] / n, (n, 1))), b
-        one = M.batch_graphs([graph])
-        rows = M.encode(one, one.features, weights)[0]
-        alone = M.readout(rows.reshape(1, n, -1), one.sizes)[0]
+        p1, x1, n1 = M.batch_graphs([graph])
+        alone = M.readout(M.encode(p1, x1, weights)[0], n1)[0]
         assert alone.tobytes() == M.graph_embeddings([graph], weights).tobytes(), b
 
 
@@ -344,7 +344,7 @@ def test_predict_equals_forward_after_empty_mask_plan():
     tape = ad.Tape()
     x = R.apply_mask(tape.constant(g.features), M.MaskPlan(()),
                      tape.constant(p.mask_token))
-    rows = M.encode(M.batch_graphs([g]), x.value, p.encoder_weights)[0]
+    rows = run_encode(g, x.value, p.encoder_weights)
     hs, _ = M.gnn_layers(M.propagation_terms(g), g.features, p.encoder_weights)
     np.testing.assert_array_equal(rows, hs[-1])
 
@@ -358,9 +358,8 @@ def test_deep_models_run_layers_in_index_order(layers):
     want = dense_oracle(g, g.features, p.encoder_weights, final_linear=False)
     np.testing.assert_allclose(M.graph_embedding(g, p.encoder_weights),
                                want.mean(axis=0), atol=1e-12)
-    batch = M.batch_graphs([g])
-    h = M.encode(batch, g.features, p.encoder_weights)[0]
-    z = M.encode(batch, h, p.decoder_weights, final_linear=True)[0]
+    h = run_encode(g, g.features, p.encoder_weights)
+    z = run_decode(g, h, p.decoder_weights)
     np.testing.assert_allclose(
         z, dense_oracle(g, want, p.decoder_weights, final_linear=True), atol=1e-12)
     members, cfg = [(g, M.MaskPlan((1, 3)))], T.TrainConfig(hidden=8, layers=layers)
@@ -423,6 +422,7 @@ def test_head_scores_are_the_same_bits_with_and_without_grad(family):
         assert a.shape == (7,) and a.tobytes() == b.tobytes()
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("family", ["proxy", "logits"])
 def test_head_rows_do_not_depend_on_their_batch(family):
     """A row's scores and gradient are the same bits whatever rows share its

@@ -126,6 +126,10 @@ def test_config_rejects_bad_fields():
         with pytest.raises(ValueError):
             small_config(**bad).validate()
     small_config(lambda2=0.0).validate()  # full keeps its reconstruction term
+    for name in ("learning_rate", "lambda1", "lambda2"):
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                small_config(**{name: value}).validate()
 
 
 def test_train_rejects_empty_or_mismatched_inputs():
@@ -274,6 +278,28 @@ def test_divergence_in_a_batch_names_the_graph_and_the_op(variant, monkeypatch):
         T.train(graphs, graphs, cfg)
 
 
+def test_divergence_of_the_batch_alone_names_the_batch():
+    """A batch that fails where none of its members fails alone is blamed
+    as a whole, its graphs named in batch order, the batch's error chained."""
+    members = [(g, None) for g in toy_dataset(2)[:3]]
+    built, raised = [], []
+
+    def build(batch):
+        built.append([g.graph_id for g, _ in batch])
+        if len(batch) >= 2:
+            raised.append(ad.NonFiniteError("readout produced non-finite output"))
+            raise raised[-1]
+        return "fine"
+
+    with pytest.raises(ad.NonFiniteError) as info:
+        T.per_graph_on_error(build, members)
+    ids = [g.graph_id for g, _ in members]
+    assert str(info.value) == (f"batch of graphs {', '.join(ids)}: "
+                               "readout produced non-finite output")
+    assert info.value.__cause__ is raised[0] and len(raised) == 1
+    assert built == [ids] + [[i] for i in ids]
+
+
 def overflowing_proxies(params):
     """Finite proxies whose norms overflow, beside a finite encoder: every
     cosine to them would read 0."""
@@ -339,6 +365,7 @@ def per_op_layers(h, p, weights, final_linear):
     return h
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("layers", [1, 2, 3, 4])
 @pytest.mark.parametrize("final_linear", [False, True])
 @pytest.mark.parametrize("input_grad", [False, True])
@@ -357,38 +384,41 @@ def test_layer_op_gives_the_bits_of_per_op_layers(layers, final_linear, input_gr
     per-op layers make one product over all B*m rows. OpenBLAS gives both
     the same bits at these widths, but not at an output width of 1-3 after
     an input width of 16 or more."""
-    batch = M.batch_graphs(odd_graphs())
+    p, features, _ = M.batch_graphs(odd_graphs())
+    count, m, _ = features.shape
+    flat = features.reshape(count * m, D)  # the tape's rows, graph b's block at b*m
     rng = np.random.default_rng(layers)
     widths = [D] + [32] * (layers - 1) + [D if final_linear else 32]
     weights = [rng.normal(size=shape) for shape in zip(widths[:-1], widths[1:])]
-    coeffs = rng.normal(size=(len(batch.features), widths[-1]))
-    plan = M.MaskPlan(tuple(batch.rows(1, [0, 2]) + batch.rows(4, [1])))
+    coeffs = rng.normal(size=(count * m, widths[-1]))
+    plan = M.MaskPlan((m, m + 2, 4 * m + 1))  # graph 1's nodes 0 and 2, graph 4's node 1
     token = rng.normal(size=D)
 
     tape = ad.Tape()
     ws = [tape.param(w) for w in weights]
     if input_grad:
-        x = tape.param(batch.features)
+        x = tape.param(flat)
         leaves = [x, tape.param(token)] + ws
         xin = R.apply_mask(x, plan, leaves[1])
     else:
         leaves = ws
-        xin = tape.constant(batch.features)
-    out = per_op_layers(xin, batch.propagation, ws, final_linear)
+        xin = tape.constant(flat)
+    out = per_op_layers(xin, p, ws, final_linear)
     grads = ad.backward(tape, ad.sum_all(ad.mul(out, tape.constant(coeffs))))
     want = [grads[t.tid] for t in leaves]
 
-    rows, back = M.encode(batch, xin.value, weights, final_linear)
-    dws, dx = back(coeffs, input_grad)
+    rows, back = M.encode(p, xin.value.reshape(features.shape), weights, final_linear)
+    dws, dx = back(coeffs.reshape(rows.shape), input_grad)
     got = dws
     if input_grad:
+        dx = dx.reshape(flat.shape)
         masked = list(plan.masked)
         token_grad = dx[masked].sum(axis=0)
         dx[masked] = 0.0
         got = [dx, token_grad] + dws
     else:
         assert dx is None
-    assert np.array_equal(rows, out.value)
+    assert np.array_equal(rows.reshape(out.value.shape), out.value)
     assert len(got) == len(want) == layers + 2 * input_grad
     for i, (g, w) in enumerate(zip(got, want)):
         assert np.array_equal(g, w), i
@@ -512,6 +542,7 @@ def desk_graphs():
     return graphs
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("variant", T.VARIANTS)
 def test_detector_step_gives_the_bits_of_the_tape(variant):
     """The hand-written detector step has the joint loss, the reconstruction
@@ -544,6 +575,7 @@ def test_detector_step_gives_the_bits_of_the_tape(variant):
                 assert np.array_equal(g, want[name]), (case, name)
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("arch", AT.ARCHITECTURES)
 def test_surrogate_step_gives_the_bits_of_the_tape(arch):
     """The hand-written surrogate step has the loss and every gradient of
