@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 import os
+import stat
 import sys
 import tempfile
 import time
@@ -108,15 +109,40 @@ ATTACK_FIELDS = {
 }
 
 
+def _read_input(what: str, path, load, regular: bool = True):
+    """`load(path)` for the input file `path`, a `what` such as "dataset file".
+    Every way the file can fail is bad input, a ConfigError naming `what` and
+    `path`. A `regular` file is checked before it is opened, as opening a FIFO
+    waits for a writer, and the manifest reads the file again to hash it.
+    `load` names the path in the ValueError for content it rejects."""
+    try:
+        if not regular or stat.S_ISREG(os.stat(path).st_mode):
+            return load(path)
+    except FileNotFoundError:
+        raise ConfigError(f"{what} not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"{what} cannot be read: {path} ({exc.strerror})") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{what} is not UTF-8 text: {path} ({exc.reason})") from None
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ConfigError(f"{what} is not JSON: {path} ({exc})") from None
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    raise ConfigError(f"{what} is not a regular file: {path}")
+
+
+def _read_text(path) -> str:
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _read_json(path):
+    return json.loads(_read_text(path))
+
+
 def read_config(path) -> str:
     """The text of a config file, read once: a pipe or FIFO cannot be reread."""
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"{path}: cannot read config: {exc}") from exc
+    return _read_input("config file", path, _read_text, regular=False)
 
 
 def parse_config(path, fields: dict, text: str) -> dict:
@@ -202,13 +228,7 @@ def _file_entries_ok(entries) -> bool:
 def load_manifest(path) -> dict:
     """A run manifest written by `write_manifest`, with every field that
     `replay_manifest` reads checked; ConfigError names the file and field."""
-    if not os.path.isfile(path):
-        raise ConfigError(f"manifest not found: {path}")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except (ValueError, RecursionError) as exc:  # malformed, non-UTF-8 or too deep
-        raise ConfigError(f"{path}: not a JSON manifest: {exc}") from None
+    manifest = _read_input("manifest", path, _read_json)
     if not isinstance(manifest, dict) or manifest.get("format") != MANIFEST_FORMAT:
         raise ConfigError(f"{path}: not a run manifest")
     command = manifest.get("command")
@@ -249,10 +269,9 @@ def replay_manifest(manifest_path, work_dir) -> dict:
     """
     manifest = load_manifest(manifest_path)
     for name, entry in manifest["inputs"].items():
-        if not os.path.isfile(entry["path"]):
-            raise ConfigError(f"replay: input {name} missing at {entry['path']}")
-        if _sha256(entry["path"]) != entry["sha256"]:
-            raise ConfigError(f"replay: input {name} changed since the original run")
+        if _read_input(f"replay input {name}", entry["path"], _sha256) != entry["sha256"]:
+            raise ConfigError(f"replay input {name} changed since the original run: "
+                              f"{entry['path']}")
 
     os.makedirs(work_dir, exist_ok=True)
     cfg_path = None
@@ -310,34 +329,29 @@ def replay_manifest(manifest_path, work_dir) -> dict:
 # ------------------------------------------------------------------ helpers
 
 def _load_graphs(path):
-    try:
-        graphs, schema = load_dataset(path)
-    except (FileNotFoundError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    graphs, _schema = _read_input("dataset file", path, load_dataset)
     empty = next((g.graph_id for g in graphs if g.node_count == 0), None)
     if empty is not None:
         raise ConfigError(f"{path}: graph {empty} has no nodes")
-    return graphs, schema
+    return graphs
 
 
-def _load_checkpoint(path):
-    if not os.path.exists(path):
-        raise ConfigError(f"checkpoint not found: {path}")
-    try:
-        return M.load_checkpoint(path)
-    except ValueError as exc:  # the message names the file and the field
-        raise ConfigError(str(exc)) from exc
+def _load_model_and_graphs(checkpoint_path, dataset_path):
+    """(params, graphs) of a checkpoint and a dataset of the feature width
+    it expects."""
+    params, _meta = _read_input("checkpoint", checkpoint_path, M.load_checkpoint)
+    graphs = _load_graphs(dataset_path)
+    d = graphs[0].feature_dim
+    if params.feature_dim != d:
+        raise ConfigError(f"schema mismatch: checkpoint {checkpoint_path} expects "
+                          f"feature width {params.feature_dim}, dataset "
+                          f"{dataset_path} has width {d}")
+    return params, graphs
 
 
 def _load_split(path, name: str) -> list[str]:
     """The graph ids of one partition of a training run's split.json."""
-    if not os.path.exists(path):
-        raise ConfigError(f"split file not found: {path}")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            split_ids = json.load(fh)
-    except (ValueError, RecursionError) as exc:  # malformed, non-UTF-8 or too deep
-        raise ConfigError(f"{path}: not a JSON split file: {exc}") from None
+    split_ids = _read_input("split file", path, _read_json)
     if not isinstance(split_ids, dict) or name not in split_ids:
         raise ConfigError(f"split {name!r} not present in {path}")
     ids = split_ids[name]
@@ -357,14 +371,6 @@ def _finite_forward(checkpoint_path):
             yield
     except ad.NonFiniteError as exc:
         raise ConfigError(f"{checkpoint_path}: weights overflow: {exc}") from exc
-
-
-def _check_schema(params: M.ModelParams, graphs, checkpoint_path, dataset_path):
-    d = graphs[0].feature_dim
-    if params.feature_dim != d:
-        raise ConfigError(f"schema mismatch: checkpoint {checkpoint_path} expects "
-                          f"feature width {params.feature_dim}, dataset "
-                          f"{dataset_path} has width {d}")
 
 
 def _fmt(x: float) -> str:
@@ -446,7 +452,7 @@ def cmd_train(args) -> None:
     values = parse_config(args.config, TRAIN_FIELDS, config_text)
     if args.variant:
         values["variant"] = args.variant
-    graphs, _schema = _load_graphs(args.dataset)
+    graphs = _load_graphs(args.dataset)
     split, cfg = train_setup(values, graphs)
 
     parts = _split_parts(graphs, {"train": split.train, "validation": split.validation,
@@ -493,9 +499,7 @@ def cmd_train(args) -> None:
 
 
 def cmd_eval(args) -> None:
-    params, _meta = _load_checkpoint(args.checkpoint)
-    graphs, _schema = _load_graphs(args.dataset)
-    _check_schema(params, graphs, args.checkpoint, args.dataset)
+    params, graphs = _load_model_and_graphs(args.checkpoint, args.dataset)
 
     inputs = {"checkpoint": args.checkpoint, "dataset": args.dataset}
     if args.split != "all":
@@ -548,9 +552,7 @@ def attack_config(values: dict) -> AT.AttackConfig:
 def cmd_attack(args) -> None:
     config_text = read_config(args.config)
     values = parse_config(args.config, ATTACK_FIELDS, config_text)
-    params, _meta = _load_checkpoint(args.checkpoint)
-    graphs, _schema = _load_graphs(args.dataset)
-    _check_schema(params, graphs, args.checkpoint, args.dataset)
+    params, graphs = _load_model_and_graphs(args.checkpoint, args.dataset)
     cfg = attack_config(values)
     if args.mode == "blackbox" and not args.surrogate:
         raise ConfigError("blackbox mode requires --surrogate "
@@ -620,9 +622,7 @@ def cmd_attack(args) -> None:
 
 
 def cmd_export_embeddings(args) -> None:
-    params, _meta = _load_checkpoint(args.checkpoint)
-    graphs, _schema = _load_graphs(args.dataset)
-    _check_schema(params, graphs, args.checkpoint, args.dataset)
+    params, graphs = _load_model_and_graphs(args.checkpoint, args.dataset)
     tic = time.perf_counter()
     h = params.hidden_dim
     with _finite_forward(args.checkpoint):

@@ -7,7 +7,6 @@ protocol.
 from __future__ import annotations
 
 import json
-import os
 import re
 from dataclasses import dataclass, field
 
@@ -291,8 +290,6 @@ def _read_record(line: str):
 def load_dataset(path) -> tuple[list[FeatureGraph], FeatureSchema]:
     """Parse a dataset file. Any malformed line fails the whole load with its
     line number; a file with no graph records fails as empty."""
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"dataset file not found: {path}")
     with open(path, "r", encoding="utf-8") as fh:
         raw = [ln for ln in (line.strip() for line in fh) if ln]
     if not raw:

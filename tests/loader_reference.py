@@ -10,15 +10,12 @@ list json.loads made. The checks after the parse are the package's own
 here.
 """
 import json
-import os
 
 from graphsentry.graphdata import (FORMAT_NAME, FORMAT_VERSION, FeatureGraph,
                                    FeatureSchema, _parse_bit_rows, _whole)
 
 
 def load_dataset(path):
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"dataset file not found: {path}")
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln for ln in (line.strip() for line in fh) if ln]
     if not lines:

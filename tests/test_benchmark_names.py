@@ -46,3 +46,36 @@ def test_argument_positions_the_row_counters_read():
         params = list(inspect.signature(cls.margin_grad_batched).parameters)
         assert params[:3] == ["self", "features", "a_batch"], cls.__name__
     assert list(inspect.signature(attacks.edge_saliency_ig).parameters)[2] == "ig_steps"
+
+
+def test_the_commands_reach_the_loaders_the_tracer_wraps(tmp_path, monkeypatch):
+    """The tracer times a loader by replacing it wherever a package module
+    holds it. A command that reached a loader some other way, such as a table
+    built at import, would read 0 seconds in the traced run and not fail."""
+    from graphsentry import cli, graphdata, model
+
+    schema = graphdata.FeatureSchema(opcode_dim=3, permission_dim=2)
+    graphs = graphdata.generate_synthetic_dataset(graphdata.SyntheticConfig(
+        n_graphs=6, benign_node_range=(3, 4), motif_node_count=2,
+        motif_feature_signature="10101", malicious_fraction=0.5,
+        background_edge_prob=0.4, rng_seed=0, schema=schema))
+    dataset, checkpoint = str(tmp_path / "data.jsonl"), str(tmp_path / "ckpt.json")
+    graphdata.save_dataset(dataset, graphs, schema)
+    model.save_checkpoint(checkpoint, model.init_params(schema, hidden=4, layers=1),
+                          meta={})
+
+    calls = []
+    for loader in (graphdata.load_dataset, model.load_checkpoint):
+        def counted(*args, _loader=loader, **kwargs):
+            calls.append(_loader.__name__)
+            return _loader(*args, **kwargs)
+        for short in tracing.MODULES:
+            mod = importlib.import_module(f"graphsentry.{short}")
+            for attr, value in list(vars(mod).items()):
+                if value is loader:
+                    monkeypatch.setattr(mod, attr, counted)
+    for argv in (["eval", checkpoint, dataset, "--out", str(tmp_path / "m.csv")],
+                 ["export-embeddings", checkpoint, dataset, str(tmp_path / "e.csv")]):
+        calls.clear()
+        assert cli.main(argv) == 0
+        assert sorted(calls) == ["load_checkpoint", "load_dataset"], argv[0]

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line pipeline: exit codes, artifact
 determinism, manifest replay, and agreement between CSV contents and the
 library calls they wrap."""
+import contextlib
 import json
 import os
 import threading
@@ -652,3 +653,99 @@ def test_export_rerun_byte_identical(workspace, tmp_path):
         assert cli.main(["export-embeddings", workspace["checkpoint"],
                          workspace["dataset"], out]) == 0
     assert cli._sha256(a) == cli._sha256(b)
+
+
+# ------------------------------------------------------------------ input files
+
+@contextlib.contextmanager
+def fifo_writer(path):
+    """While open, a thread keeps opening the FIFO at `path` for writing and
+    closing it at once, so that a reader that opens it reads EOF instead of
+    waiting for a writer forever."""
+    done = threading.Event()
+
+    def feed():
+        while not done.is_set():
+            try:
+                os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+            except OSError:  # no reader has it open
+                done.wait(0.01)
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        yield
+    finally:
+        done.set()
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+
+def bad_input(failure, path):
+    """Make `path` a missing file, a directory, a file that is not UTF-8 or
+    a FIFO."""
+    if failure == "directory":
+        os.mkdir(path)
+    elif failure == "not_utf8":
+        with open(path, "wb") as fh:
+            fh.write(b"\xff\xfe not utf-8\n")
+    elif failure == "fifo":
+        os.mkfifo(path)
+
+
+def run_with_input(kind, path, workspace, tmp_path, capsys):
+    """(exit code, message) of a run whose `kind` input is `path`. A manifest
+    and a replay input go to replay_manifest, and its ConfigError counts as
+    exit 2."""
+    out = str(tmp_path / "out.csv")
+    ckpt, data = workspace["checkpoint"], workspace["dataset"]
+    argv = {"config": ["gen-data", path, out],
+            "dataset": ["eval", ckpt, path, "--out", out],
+            "checkpoint": ["eval", path, data, "--out", out],
+            "split_file": ["eval", ckpt, data, "--out", out, "--split", "test",
+                           "--split-file", path]}.get(kind)
+    if argv is not None:
+        code = cli.main(argv)
+        return code, capsys.readouterr().err
+    manifest = path
+    if kind == "replay_input":
+        with open(os.path.join(workspace["out_dir"], "manifest.json"),
+                  encoding="utf-8") as fh:
+            recorded = json.load(fh)
+        recorded["inputs"]["dataset"]["path"] = path
+        manifest = str(tmp_path / "replay.manifest.json")
+        with open(manifest, "w", encoding="utf-8") as fh:
+            json.dump(recorded, fh)
+    with pytest.raises(cli.ConfigError) as err:
+        cli.replay_manifest(manifest, str(tmp_path / "replay"))
+    return 2, f"error: {err.value}\n"
+
+
+INPUT_KINDS = {"config": "config file", "dataset": "dataset file",
+               "checkpoint": "checkpoint", "split_file": "split file",
+               "manifest": "manifest", "replay_input": "replay input"}
+FAILURES = {"missing": "not found", "directory": "not a regular file",
+            "not_utf8": "is not UTF-8 text", "fifo": "not a regular file"}
+# failures whose message differs: a config need not be a regular file, the
+# checkpoint loader names its own decoding error, and replay only hashes
+MESSAGES = {("config", "directory"): "cannot be read",
+            ("checkpoint", "not_utf8"): "not a JSON checkpoint",
+            ("replay_input", "not_utf8"): "changed since the original run"}
+
+
+# a config may be a pipe: test_gen_data_reads_a_fifo_config_once
+@pytest.mark.parametrize("kind, failure", [
+    (kind, failure) for kind in sorted(INPUT_KINDS) for failure in sorted(FAILURES)
+    if (kind, failure) != ("config", "fifo")])
+def test_bad_input_file_exit_2_naming_it(workspace, tmp_path, capsys, kind, failure):
+    """A directory given as a dataset, checkpoint or split file once exited 1,
+    a dataset that is not UTF-8 was not named, and a FIFO dataset hung once
+    the manifest reopened it to hash it."""
+    path = str(tmp_path / "bad_input")
+    bad_input(failure, path)
+    with fifo_writer(path) if failure == "fifo" else contextlib.nullcontext():
+        code, err = run_with_input(kind, path, workspace, tmp_path, capsys)
+    assert code == 2, err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.count(path) == 1, err
+    assert INPUT_KINDS[kind] in err
+    assert MESSAGES.get((kind, failure), FAILURES[failure]) in err
