@@ -97,6 +97,20 @@ def _edge_array(edges, n: int, graph_id: str) -> np.ndarray:
     return out
 
 
+def _whole(value, what: str) -> int:
+    """`value` as a Python int. ValueError saying that `what` must be an
+    integer unless it is an integral number (a Python or numpy integer, or an
+    integral float): a fraction, a string or a boolean is rejected, never
+    truncated."""
+    if type(value) is int:
+        return value
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(eq=False)
 class FeatureGraph:
     """A directed call graph with one binary feature row per node. `edges`
@@ -110,6 +124,11 @@ class FeatureGraph:
     year_tag: int | None = None
 
     def __post_init__(self):
+        what = f"graph {self.graph_id}: field"
+        self.node_count = _whole(self.node_count, f"{what} 'node_count'")
+        self.label = _whole(self.label, f"{what} 'label'")
+        if self.year_tag is not None:
+            self.year_tag = _whole(self.year_tag, f"{what} 'year_tag'")
         self.edges = _edge_array(self.edges, self.node_count, self.graph_id)
         self.features = np.asarray(self.features, dtype=np.float64)
         self.validate()
@@ -218,40 +237,39 @@ def _parse_bit_rows(rows: list, d: int) -> np.ndarray | None:
 
 
 def save_dataset(path, graphs: list[FeatureGraph], schema: FeatureSchema) -> None:
-    """Write the newline-delimited graph format: header line, then one record per graph."""
+    """Write the newline-delimited graph format: header line, then one record
+    per graph, each the canonical JSON of its fields (sorted keys, no
+    whitespace). A record line is assembled from the graph's arrays: its edge
+    list is one lookup in a table of endpoint strings and one join, and only
+    the id, label and node count go through json.dumps."""
     lines = [canonical_json({
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
         "opcode_dim": schema.opcode_dim,
         "permission_dim": schema.permission_dim,
     })]
+    # ends[i] = ("[i", "i]"): a pair's source and target text, so that the
+    # edge list is its endpoints' text joined by commas.
+    k = max((g.node_count for g in graphs), default=0)
+    ends = np.array([(f"[{i}", f"{i}]") for i in range(k)], dtype=object).reshape(k, 2)
     for g in graphs:
         if g.feature_dim != schema.d:
             raise ValueError(f"graph {g.graph_id} has feature width {g.feature_dim}, "
                              f"schema says {schema.d}")
-        rec = {
-            "id": g.graph_id,
-            "label": g.label,
-            "n": g.node_count,
-            "edges": g.edges.tolist(),
-            "x": _bit_strings(g.features),
-        }
-        if g.year_tag is not None:
-            rec["year"] = int(g.year_tag)
-        lines.append(canonical_json(rec))
+        e = g.edges
+        # An edge array replaced after validation could hold an endpoint
+        # ends would misspell (ends[-1]) or lack. Seen as unsigned, a
+        # negative endpoint is at least n; validate then names the edge.
+        if len(e) and e.view(np.uintp).max() >= g.node_count:
+            g.validate()
+        edges = ",".join(ends[e, (0, 1)].ravel().tolist())
+        bits = _bit_strings(g.features)
+        x = '"' + '","'.join(bits) + '"' if bits else ""
+        fields = canonical_json({"id": g.graph_id, "label": g.label, "n": g.node_count})
+        year = "" if g.year_tag is None else f',"year":{int(g.year_tag)}'
+        lines.append(f'{{"edges":[{edges}],{fields[1:-1]},"x":[{x}]{year}}}')
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def _whole(value, what: str) -> int:
-    """A number read from a dataset file as an int. ValueError saying that
-    `what` must be an integer unless it is an integral number: a fraction, a
-    string or a boolean is rejected, never truncated."""
-    if type(value) is float and value.is_integer():
-        return int(value)
-    if type(value) is not int:
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
 
 
 # The start of a record line as save_dataset writes it: keys sorted, so the

@@ -1,6 +1,8 @@
-"""The dataset loader with json.loads on every line: the reference that
-`graphdata.load_dataset` must agree with, graph for graph and error for
-error. It is a helper, not a test module; pytest does not collect it.
+"""The dataset loader with json.loads on every line, and the writer with
+json.dumps of every record: the references that `graphdata.load_dataset`
+and `graphdata.save_dataset` must agree with, graph for graph, error for
+error and byte for byte. It is a helper, not a test module; pytest does not
+collect it.
 
 The package's loader reads the edge list of a canonical record line with
 numpy and hands only the rest of the line to json.loads. This reference
@@ -8,11 +10,41 @@ parses every line whole and hands the edge list to `FeatureGraph` as the
 list json.loads made. The checks after the parse are the package's own
 (`_whole`, `_parse_bit_rows`, `FeatureGraph`), as they are not under test
 here.
+
+The package's writer assembles each record line from the graph's arrays.
+This reference writes the canonical JSON of the record's dict, with the
+edge list as Python lists.
 """
 import json
 
 from graphsentry.graphdata import (FORMAT_NAME, FORMAT_VERSION, FeatureGraph,
-                                   FeatureSchema, _parse_bit_rows, _whole)
+                                   FeatureSchema, _bit_strings, _parse_bit_rows,
+                                   _whole, canonical_json)
+
+
+def save_dataset(path, graphs, schema):
+    lines = [canonical_json({
+        "format": FORMAT_NAME,
+        "version": FORMAT_VERSION,
+        "opcode_dim": schema.opcode_dim,
+        "permission_dim": schema.permission_dim,
+    })]
+    for g in graphs:
+        if g.feature_dim != schema.d:
+            raise ValueError(f"graph {g.graph_id} has feature width {g.feature_dim}, "
+                             f"schema says {schema.d}")
+        rec = {
+            "id": g.graph_id,
+            "label": g.label,
+            "n": g.node_count,
+            "edges": g.edges.tolist(),
+            "x": _bit_strings(g.features),
+        }
+        if g.year_tag is not None:
+            rec["year"] = int(g.year_tag)
+        lines.append(canonical_json(rec))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def load_dataset(path):

@@ -183,6 +183,45 @@ def test_save_load_round_trip(tmp_path):
         np.testing.assert_array_equal(back.features, orig.features)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("label", np.int64(1)), ("label", np.uint8(1)), ("label", 1.0), ("label", np.float32(1.0)),
+    ("node_count", np.int64(2)), ("node_count", 2.0), ("year_tag", np.int32(2019)),
+    ("year_tag", np.float64(2019.0)),
+], ids=["label-int64", "label-uint8", "label-float", "label-float32", "n-int64",
+        "n-float", "year-int32", "year-float64"])
+def test_integral_fields_are_stored_as_int_and_round_trip(tmp_path, field, value):
+    kwargs = {"node_count": 2, "label": 1, "year_tag": 2019, field: value}
+    g = FeatureGraph(edges=[(0, 1)], features=np.eye(2, SCHEMA.d), graph_id="g", **kwargs)
+    assert type(getattr(g, field)) is int and getattr(g, field) == value
+    path = tmp_path / "data.jsonl"
+    save_dataset(path, [g], SCHEMA)
+    (back,), _ = load_dataset(path)
+    assert (back.node_count, back.label, back.year_tag) == (2, 1, 2019)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("label", True), ("label", np.bool_(False)), ("label", 0.5), ("label", "1"),
+    ("node_count", True), ("node_count", 2.5), ("year_tag", 2019.5), ("year_tag", False),
+], ids=["label-bool", "label-numpy-bool", "label-fraction", "label-string", "n-bool",
+        "n-fraction", "year-fraction", "year-bool"])
+def test_feature_graph_rejects_a_non_integral_field_by_name(field, value):
+    kwargs = {"node_count": 2, "label": 1, "year_tag": 2019, field: value}
+    with pytest.raises(ValueError, match=rf"graph g: field '{field}' must be an integer, "
+                                         rf"got {value!r}"):
+        FeatureGraph(edges=[], features=np.zeros((2, SCHEMA.d)), graph_id="g", **kwargs)
+
+
+@pytest.mark.parametrize("edges", [[(0, -1)], [(0, 1), (2, 0)]], ids=["negative", "past-n"])
+def test_save_rejects_an_edge_array_replaced_out_of_range(tmp_path, edges):
+    """A graph's edges replaced after validation cannot write another node's
+    number, even where a larger graph in the call has that node."""
+    g = make_graph(2, [(0, 1)], gid="swapped")
+    g.edges = np.array(edges, dtype=np.intp)
+    with pytest.raises(ValueError, match=r"graph swapped: edge \(.*\) endpoint out of range "
+                                         r"for 2 nodes"):
+        save_dataset(tmp_path / "data.jsonl", [make_graph(5, [(4, 3)]), g], SCHEMA)
+
+
 def test_load_file_without_records_raises(tmp_path):
     path = tmp_path / "empty.jsonl"
     for content in ("", "\n\n", '{"opcode_dim":4,"permission_dim":2}\n'):

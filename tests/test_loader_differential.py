@@ -1,5 +1,6 @@
-"""Differential test of the dataset loader against tests/loader_reference.py,
-which runs json.loads on every line.
+"""Differential tests of the dataset loader and writer against
+tests/loader_reference.py, which runs json.loads on every line and writes
+every record with json.dumps.
 
 `graphdata.load_dataset` reads the edge list of a canonical record line
 with one numpy call and parses only the rest of the line as JSON. On every
@@ -7,9 +8,10 @@ file both loaders must give the same graphs (ids, node counts, labels,
 years, edge bytes and dtype, features) or the same ValueError text. The
 files are datasets `save_dataset` wrote for drawn graphs, hand-written
 record lines on and off the numpy path, and the mutations of the loader
-fuzz corpus.
+fuzz corpus. On every drawn dataset both writers must give the same bytes.
 """
 import os
+import pathlib
 import tempfile
 
 import numpy as np
@@ -74,20 +76,41 @@ def graphs(draw):
     return FeatureGraph(n, edges, feats, draw(st.integers(0, 1)), gid, year)
 
 
+def save_both(base, drawn):
+    """Save `drawn` with both writers, check that the bytes are equal and that
+    every record line takes the loader's numpy path (`_CANONICAL_EDGES`), and
+    return the package writer's path."""
+    path, want = os.path.join(base, "data.jsonl"), os.path.join(base, "want.jsonl")
+    save_dataset(path, drawn, SCHEMA)
+    L.save_dataset(want, drawn, SCHEMA)
+    got = pathlib.Path(path).read_bytes()
+    assert got == pathlib.Path(want).read_bytes()
+    for line in got.decode("utf-8").splitlines()[1:]:
+        assert parsed_by_numpy(line), line
+    return path
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(graphs(), min_size=1, max_size=4))
 def test_saved_datasets_load_alike_on_the_canonical_path(drawn):
     with tempfile.TemporaryDirectory() as base:
-        path = os.path.join(base, "data.jsonl")
-        save_dataset(path, drawn, SCHEMA)
-        with open(path, encoding="utf-8") as fh:
-            records = fh.read().splitlines()[1:]
-        for line in records:
-            assert parsed_by_numpy(line), line
+        path = save_both(base, drawn)
         assert_same_load(path)
         graphs, _ = G.load_dataset(path)
     for g, d in zip(graphs, drawn, strict=True):
         assert g.graph_id == d.graph_id and g.edges.tobytes() == d.edges.tobytes()
+
+
+def test_large_endpoints_are_written_as_the_reference_writes_them(tmp_path):
+    n = 10_000
+    feats = np.random.default_rng(0).integers(0, 2, size=(n, SCHEMA.d))
+    big = FeatureGraph(n, [(9999, 0), (0, 9999), (9998, 9999), (9999, 9998)], feats,
+                       1, "big", 2024)
+    small = FeatureGraph(2, [(1, 0)], feats[:2], 0, "small")
+    path = save_both(tmp_path, [small, big, small])
+    assert_same_load(path)
+    graphs, _ = G.load_dataset(path)
+    assert graphs[1].edges.tolist() == [[9999, 0], [0, 9999], [9998, 9999], [9999, 9998]]
 
 
 REST = '"id":"a","label":0,"n":3,"x":["00000","11111","10101"]}'
