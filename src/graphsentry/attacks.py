@@ -67,14 +67,14 @@ class NoCandidateEdges(ValueError):
     """The graph is complete, as the victim sees it; nothing is left to add."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class AttackConfig:
     max_iterations: int = 100
     ig_steps: int = 20
     edges_per_iteration: int = 1
     rng_seed: int = 0  # unread here; the benchmark's workloads still set it
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         if self.ig_steps < 1:
@@ -392,7 +392,6 @@ def pick_edges(scores: dict[tuple[int, int], float],
 
 def _attack_loop(saliency_victim, label_fn, graph: FeatureGraph,
                  config: AttackConfig) -> AttackResult:
-    config.validate()
     if label_fn(graph) != 1:
         raise ValueError(f"graph {graph.graph_id} is not detected as malicious; "
                          f"nothing to evade")

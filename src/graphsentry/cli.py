@@ -441,7 +441,6 @@ def train_setup(values: dict, graphs) -> tuple:
         cfg = T.TrainConfig(**{k: values[k] for k in (
             "gamma", "learning_rate", "layers", "hidden", "lambda1", "lambda2",
             "max_epochs", "early_stop_patience", "batch_size", "rng_seed", "variant")})
-        cfg.validate()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return split, cfg
@@ -543,7 +542,6 @@ def attack_config(values: dict) -> AT.AttackConfig:
     try:
         cfg = AT.AttackConfig(**{k: values[k] for k in (
             "max_iterations", "ig_steps", "edges_per_iteration")})
-        cfg.validate()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return cfg
@@ -705,6 +703,9 @@ def main(argv=None) -> int:
         return 1
     except (ad.NonFiniteError, OSError, RuntimeError) as exc:
         print(f"failure: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"failure: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

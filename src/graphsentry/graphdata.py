@@ -111,10 +111,13 @@ def _whole(value, what: str) -> int:
     return int(value)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class FeatureGraph:
-    """A directed call graph with one binary feature row per node. `edges`
-    is a read-only (E, 2) integer array of (source, target) rows."""
+    """A directed call graph with one binary feature row per node, checked
+    once, when it is built: its fields cannot be reassigned, and both arrays
+    are read-only. `edges` is a new (E, 2) integer array of (source, target)
+    rows; `features` is the float64 array given, marked read-only in place,
+    or a read-only float64 copy of any other input."""
 
     node_count: int
     edges: np.ndarray
@@ -124,37 +127,39 @@ class FeatureGraph:
     year_tag: int | None = None
 
     def __post_init__(self):
-        what = f"graph {self.graph_id}: field"
-        self.node_count = _whole(self.node_count, f"{what} 'node_count'")
-        self.label = _whole(self.label, f"{what} 'label'")
-        if self.year_tag is not None:
-            self.year_tag = _whole(self.year_tag, f"{what} 'year_tag'")
-        self.edges = _edge_array(self.edges, self.node_count, self.graph_id)
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.validate()
-
-    def validate(self) -> None:
-        n = self.node_count
+        gid = self.graph_id
+        what = f"graph {gid}: field"
+        n = _whole(self.node_count, f"{what} 'node_count'")
+        label = _whole(self.label, f"{what} 'label'")
+        year = self.year_tag
+        if year is not None:
+            year = _whole(year, f"{what} 'year_tag'")
+        e = _edge_array(self.edges, n, gid)
+        x = np.asarray(self.features, dtype=np.float64)
         if n < 0:
-            raise ValueError(f"graph {self.graph_id}: negative node count")
-        if self.features.ndim != 2 or self.features.shape[0] != n:
-            raise ValueError(f"graph {self.graph_id}: feature matrix must have {n} rows, "
-                             f"got shape {self.features.shape}")
-        vals = self.features
-        if np.count_nonzero((vals != 0.0) & (vals != 1.0)):
-            raise ValueError(f"graph {self.graph_id}: features must be 0/1")
-        if self.label not in (0, 1):
-            raise ValueError(f"graph {self.graph_id}: label must be 0 or 1, got {self.label}")
+            raise ValueError(f"graph {gid}: negative node count")
+        if x.ndim != 2 or x.shape[0] != n:
+            raise ValueError(f"graph {gid}: feature matrix must have {n} rows, "
+                             f"got shape {x.shape}")
+        if np.count_nonzero((x != 0.0) & (x != 1.0)):
+            raise ValueError(f"graph {gid}: features must be 0/1")
+        if label not in (0, 1):
+            raise ValueError(f"graph {gid}: label must be 0 or 1, got {label}")
         # Array checks, then a walk only to name the first bad edge. Seen as
         # unsigned, a negative endpoint is at least n. Few numpy calls, as
         # most graphs are small: np.count_nonzero costs less than np.any.
-        e = self.edges
         if len(e) and (e.view(np.uintp).max() >= n or np.count_nonzero(e[:, 0] == e[:, 1])):
-            _raise_first_bad_edge(e.tolist(), n, self.graph_id)
+            _raise_first_bad_edge(e.tolist(), n, gid)
         keys = e[:, 0] * n + e[:, 1]
         keys.sort()
         if np.count_nonzero(keys[1:] == keys[:-1]):
-            _raise_first_bad_edge(e.tolist(), n, self.graph_id)
+            _raise_first_bad_edge(e.tolist(), n, gid)
+        x.flags.writeable = False
+        object.__setattr__(self, "node_count", n)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "edges", e)
+        object.__setattr__(self, "features", x)
+        object.__setattr__(self, "year_tag", year)
 
     @property
     def feature_dim(self) -> int:
@@ -173,7 +178,7 @@ class DatasetSplit:
     test: list[str]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SyntheticConfig:
     """Knobs for the planted-motif corpus generator."""
 
@@ -256,17 +261,11 @@ def save_dataset(path, graphs: list[FeatureGraph], schema: FeatureSchema) -> Non
         if g.feature_dim != schema.d:
             raise ValueError(f"graph {g.graph_id} has feature width {g.feature_dim}, "
                              f"schema says {schema.d}")
-        e = g.edges
-        # An edge array replaced after validation could hold an endpoint
-        # ends would misspell (ends[-1]) or lack. Seen as unsigned, a
-        # negative endpoint is at least n; validate then names the edge.
-        if len(e) and e.view(np.uintp).max() >= g.node_count:
-            g.validate()
-        edges = ",".join(ends[e, (0, 1)].ravel().tolist())
+        edges = ",".join(ends[g.edges, (0, 1)].ravel().tolist())
         bits = _bit_strings(g.features)
         x = '"' + '","'.join(bits) + '"' if bits else ""
         fields = canonical_json({"id": g.graph_id, "label": g.label, "n": g.node_count})
-        year = "" if g.year_tag is None else f',"year":{int(g.year_tag)}'
+        year = "" if g.year_tag is None else f',"year":{g.year_tag}'
         lines.append(f'{{"edges":[{edges}],{fields[1:-1]},"x":[{x}]{year}}}')
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

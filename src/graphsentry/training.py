@@ -46,7 +46,7 @@ class TrainingDiverged(RuntimeError):
     """The loss went non-finite; carries epoch/graph context."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     gamma: float = 0.8
     learning_rate: float = 0.001
@@ -60,7 +60,7 @@ class TrainConfig:
     rng_seed: int = 0
     variant: str = "full"
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for name in ("learning_rate", "lambda1", "lambda2"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -286,7 +286,6 @@ def train(train_graphs: list[FeatureGraph], val_graphs: list[FeatureGraph],
     epoch's parameters) and the per-epoch report. Raises TrainingDiverged on
     a non-finite loss.
     """
-    config.validate()
     if not train_graphs or not val_graphs:
         raise ValueError("train and validation sets must be nonempty")
     dims = {g.feature_dim for g in train_graphs} | {g.feature_dim for g in val_graphs}

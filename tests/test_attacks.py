@@ -592,7 +592,7 @@ def test_attack_config_validation():
     for bad in (dict(max_iterations=0), dict(ig_steps=0),
                 dict(edges_per_iteration=0)):
         with pytest.raises(ValueError):
-            cfg(**bad).validate()
+            cfg(**bad)
 
 
 # ---------------------------------------------------- blackbox loop

@@ -9,6 +9,7 @@ import threading
 import numpy as np
 import pytest
 
+import graphsentry.attacks as AT
 import graphsentry.cli as cli
 import graphsentry.model as M
 import graphsentry.training as T
@@ -241,6 +242,35 @@ def test_train_divergence_exit_1(workspace, tmp_path, capsys):
 def test_train_missing_dataset_exit_2(workspace, tmp_path):
     assert cli.main(["train", str(tmp_path / "nope.jsonl"),
                      workspace["train_cfg"], str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("command,target", [
+    ("gen-data", (cli, "generate_synthetic_dataset")), ("train", (T, "train")),
+    ("whitebox", (AT, "whitebox_attack")), ("blackbox", (AT, "distill_surrogate")),
+])
+def test_out_of_memory_exit_1_without_traceback(workspace, tmp_path, capsys, monkeypatch,
+                                                command, target):
+    """A legal config too large for memory, such as hidden = 10**9, fails
+    with exit 1 and a message. The allocation is faked: the suite makes no
+    huge one."""
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.45 TiB for an array with shape "
+                          "(1000000000, 1024) and data type float64")
+
+    monkeypatch.setattr(*target, too_large)
+    out = str(tmp_path / "out")
+    if command == "gen-data":
+        argv = ["gen-data", workspace["gen_cfg"], out]
+    elif command == "train":
+        argv = ["train", workspace["dataset"], workspace["train_cfg"], out]
+    else:
+        argv = ["attack", workspace["checkpoint"], workspace["dataset"],
+                write_cfg(tmp_path / "a.cfg", **ATTACK_KV), "--mode", command,
+                "--surrogate", "gnn2_mlp", "--out", out]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == ("failure: out of memory: Unable to allocate 7.45 TiB for an array "
+                   "with shape (1000000000, 1024) and data type float64\n")
 
 
 # ------------------------------------------------------------------ eval

@@ -3,6 +3,7 @@
 The synthetic generator is checked against an independent motif-scan oracle
 (signature rows must form a connected planted component, wired both ways).
 """
+import dataclasses
 import json
 import os
 import tempfile
@@ -211,15 +212,38 @@ def test_feature_graph_rejects_a_non_integral_field_by_name(field, value):
         FeatureGraph(edges=[], features=np.zeros((2, SCHEMA.d)), graph_id="g", **kwargs)
 
 
-@pytest.mark.parametrize("edges", [[(0, -1)], [(0, 1), (2, 0)]], ids=["negative", "past-n"])
-def test_save_rejects_an_edge_array_replaced_out_of_range(tmp_path, edges):
-    """A graph's edges replaced after validation cannot write another node's
-    number, even where a larger graph in the call has that node."""
-    g = make_graph(2, [(0, 1)], gid="swapped")
-    g.edges = np.array(edges, dtype=np.intp)
-    with pytest.raises(ValueError, match=r"graph swapped: edge \(.*\) endpoint out of range "
-                                         r"for 2 nodes"):
-        save_dataset(tmp_path / "data.jsonl", [make_graph(5, [(4, 3)]), g], SCHEMA)
+@pytest.mark.parametrize("field,value", [
+    ("label", True), ("node_count", 3), ("year_tag", 2019), ("graph_id", "other"),
+    ("edges", np.array([[0, 1]])), ("features", np.zeros((2, SCHEMA.d))),
+])
+def test_a_built_graph_cannot_be_changed(field, value):
+    """A graph is checked once, when it is built, so none of its fields can
+    be reassigned: `g.label = True` once made save_dataset write
+    "label":true, which load_dataset refuses."""
+    g = make_graph(2, [(0, 1)])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(g, field, value)
+
+
+def test_features_are_read_only_and_a_generated_graph_round_trips(tmp_path):
+    """A float64 features array is marked read-only where it is, not copied;
+    no generated graph's features take a write, and the graphs still
+    round-trip through save and load."""
+    feats = np.zeros((2, SCHEMA.d))
+    assert FeatureGraph(2, [], feats, 0, "g").features is feats
+    assert not feats.flags.writeable
+    graphs = generate_synthetic_dataset(_small_config())
+    for g in graphs:
+        with pytest.raises(ValueError, match="read-only"):
+            g.features[0, 0] = 2.0
+    path = tmp_path / "data.jsonl"
+    save_dataset(path, graphs, SCHEMA)
+    loaded, _ = load_dataset(path)
+    for orig, back in zip(graphs, loaded, strict=True):
+        assert (back.graph_id, back.node_count, back.label, back.year_tag) == (
+            orig.graph_id, orig.node_count, orig.label, orig.year_tag)
+        assert np.array_equal(back.edges, orig.edges)
+        assert np.array_equal(back.features, orig.features)
 
 
 def test_load_file_without_records_raises(tmp_path):

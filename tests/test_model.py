@@ -162,8 +162,7 @@ def test_remask_zeroes_rows_and_blocks_gradient():
 
 def test_encode_isolated_node_self_term_relu():
     g = make_graph(1, [], d=2)
-    g.features = np.array([[1.0, -2.0]])  # bypass binary check for hand value
-    out = run_encode(g, g.features, [np.eye(2)])
+    out = run_encode(g, np.array([[1.0, -2.0]]), [np.eye(2)])
     np.testing.assert_array_equal(out, [[1.0, 0.0]])
 
 
